@@ -37,11 +37,10 @@ Commands::
 
 Every command accepts ``--scale quick|bench|full`` (default ``quick``)
 and ``--seed N``.  Simulation commands also accept
-``--engine fused|reference|vector`` to pick the window-execution
-engine (see :mod:`repro.cpu.engine`; ``vector`` batches windows on the
-columnar engine).  ``characterize``, ``figure`` and ``reproduce-all``
-also accept ``--trace-json FILE`` to run under an observability
-session and export the span trace plus a run manifest.
+``--engine fused|reference`` to pick the window-execution engine
+(see :mod:`repro.cpu.engine`).  ``characterize``, ``figure`` and
+``reproduce-all`` also accept ``--trace-json FILE`` to run under an
+observability session and export the span trace plus a run manifest.
 """
 
 from __future__ import annotations
@@ -360,7 +359,6 @@ def cmd_reproduce_all(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             journal=args.resume,
             policy=policy,
-            packed=args.packed,
         )
     except ValueError as exc:
         print(exc)
@@ -611,12 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="window-execution engine: fused (default), reference "
-        "(the pinned pre-optimization core), or vector (the columnar "
-        "batch engine; per-window RNG forks from a shared warm "
-        "snapshot — statistically equivalent, not bit-identical, to "
-        "the serial sweep).  Also settable via $REPRO_ENGINE; the "
-        "flag wins and is inherited by worker processes",
+        help="window-execution engine: fused (default) or reference "
+        "(the pinned pre-optimization core; bit-identical output).  "
+        "Also settable via $REPRO_ENGINE; the flag wins and is "
+        "inherited by worker processes",
     )
 
     parser = argparse.ArgumentParser(
@@ -756,21 +752,12 @@ def build_parser() -> argparse.ArgumentParser:
         "comma-separate (e.g. --only fig02_throughput,fig03_gc)",
     )
     everything.add_argument(
-        "--packed",
-        action="store_true",
-        help="route window campaigns through the sweep batch planner: "
-        "demands are deduplicated, sharded over the pool, packed into "
-        "shared cross-config vector batches and scattered back "
-        "(forces the vector engine; the report is byte-identical to "
-        "a serial --engine vector sweep)",
-    )
-    everything.add_argument(
         "--stats-json",
         metavar="FILE",
         default=None,
         help="also write wall-clock / per-experiment / cache-counter "
-        "stats as JSON (schema 3: includes attempts/retries/timed_out "
-        "and packed-sweep batch/lane accounting)",
+        "stats as JSON (schema 4: includes the engine and "
+        "attempts/retries/timed_out)",
     )
     everything.add_argument(
         "--resume",

@@ -225,11 +225,9 @@ class Characterization:
         """The core class after engine selection.
 
         ``reference`` swaps in the pinned
-        :class:`~repro.cpu.reference.ReferenceCoreModel`; ``fused`` and
-        ``vector`` both build the stock :class:`CoreModel` (the vector
-        engine batches *windows*, and falls back to this serial core
-        when a batch is not eligible).  A subclass or test that rebinds
-        :attr:`core_model_cls` bypasses the engine entirely.
+        :class:`~repro.cpu.reference.ReferenceCoreModel`; ``fused``
+        builds the stock :class:`CoreModel`.  A subclass or test that
+        rebinds :attr:`core_model_cls` bypasses the engine entirely.
         """
         if self.core_model_cls is not CoreModel:
             return self.core_model_cls
@@ -276,147 +274,9 @@ class Characterization:
     # Sampling helpers (used by the figure experiments too)
     # ------------------------------------------------------------------
     def sample_windows(self, n: int, start: int = 0) -> List[HpmSample]:
-        """Omnisciently sample ``n`` consecutive windows.
-
-        Under the ``vector`` engine an eligible batch runs on the
-        columnar :class:`~repro.cpu.vector.VectorBatchEngine` instead
-        of the serial window loop — a *different but statistically
-        equivalent realization*: each window executes from the shared
-        warm hardware snapshot with its own per-window RNG fork
-        (``cpu.vec.w<index>``), rather than inheriting the state and
-        stream positions left behind by the previous window.  Each
-        lane is still bit-identical to a serial core given the same
-        fork and snapshot (:func:`repro.cpu.vector.oracle_window`);
-        the sweep-level equivalence is guarded distributionally
-        (KS/Mann-Whitney tests plus the conformance bands).
-        """
+        """Omnisciently sample ``n`` consecutive windows."""
         self.ensure_warm()
-        if n > 0 and default_engine() == "vector":
-            samples = self._sample_windows_vector(n, start)
-            if samples is not None:
-                return samples
         return self.hpm.sample_all(range(start, start + n))
-
-    def _sample_windows_vector(
-        self, n: int, start: int
-    ) -> Optional[List[HpmSample]]:
-        """One batch of ``n`` windows on the vector engine (or None)."""
-        windows = range(start, start + n)
-        pairs = self.sample_window_list(windows, f"hw:{start}:{n}")
-        if pairs is None:
-            return None
-        interval = self.config.sampling.window_interval_s
-        return [
-            HpmSample(
-                window_index=w,
-                time_s=w * interval,
-                group_name=None,
-                snapshot=snap,
-            )
-            for w, (_desc, snap) in zip(windows, pairs)
-        ]
-
-    def _vector_lanes(self, windows: List[int]):
-        """Descriptors, lane forks and warm snapshot for one campaign.
-
-        Returns ``None`` when the core is not vector-eligible.  The
-        bridge draws RNG per ``descriptor_for()`` call, so descriptors
-        are materialized in the given campaign order — every consumer
-        of the same recipe (inline run, store hit, pool worker) leaves
-        the bridge stream in the identical position.
-        """
-        from repro.cpu.vector import HardwareSnapshot, vector_supported
-
-        self.ensure_warm()
-        core = self.core
-        ok, _reason = vector_supported(core, self.space)
-        if not ok:
-            return None
-        descriptors = [core.schedule.descriptor_for(w) for w in windows]
-        snapshot = HardwareSnapshot.capture(core)
-        root = self._rngs.fork("cpu.vec")
-        lanes = [
-            (desc, root.fork(f"w{w}"))
-            for desc, w in zip(descriptors, windows)
-        ]
-        return descriptors, lanes, snapshot
-
-    def sample_window_list(
-        self, windows, recipe: str
-    ) -> Optional[List[tuple]]:
-        """Run one named window campaign on the vector engine.
-
-        ``recipe`` identifies the campaign (e.g. ``hw:0:60``) for the
-        :mod:`~repro.core.windowstore` scatter layer: when a store is
-        installed and holds this campaign's snapshots (computed by a
-        batch-planner pool worker), they are replayed instead of
-        building an engine.  Returns ``(descriptor, snapshot)`` pairs
-        in campaign order, or ``None`` when the core is ineligible
-        (callers degrade to their serial path).
-        """
-        from repro.core import windowstore
-        from repro.cpu.vector import (
-            HardwareSnapshot,
-            VectorBatchEngine,
-            vector_supported,
-        )
-
-        windows = list(windows)
-        self.ensure_warm()
-        core = self.core
-        ok, _reason = vector_supported(core, self.space)
-        if not ok:
-            return None
-        # Descriptors are materialized before the store consult so the
-        # bridge stream advances identically on a hit and a miss.
-        descriptors = [core.schedule.descriptor_for(w) for w in windows]
-        store = windowstore.active_store()
-        key = None
-        if store is not None:
-            key = windowstore.store_key(self.config, recipe)
-            snaps = store.get(key)
-            if snaps is not None and len(snaps) == len(windows):
-                return list(zip(descriptors, snaps))
-        snapshot = HardwareSnapshot.capture(core)
-        root = self._rngs.fork("cpu.vec")
-        lanes = [
-            (desc, root.fork(f"w{w}"))
-            for desc, w in zip(descriptors, windows)
-        ]
-        engine = VectorBatchEngine(
-            self.config.machine,
-            self.space,
-            self.config.sampling,
-            lanes,
-            snapshot,
-        )
-        snaps = engine.run()
-        if store is not None:
-            store.put(key, snaps)
-        return list(zip(descriptors, snaps))
-
-    def plan_window_list(self, windows) -> Optional[tuple]:
-        """A deferred :meth:`sample_window_list`: everything up to the
-        engine build.
-
-        Returns ``(pack_key, PackGroup)`` — the unit the sweep planner
-        (:mod:`repro.experiments.batchplan`) packs into shared
-        :meth:`~repro.cpu.vector.VectorBatchEngine.packed` batches with
-        campaigns from *other* configs of compatible machine geometry —
-        or ``None`` when this core is ineligible.  Running the packed
-        engine yields per-lane snapshots bit-identical to the inline
-        :meth:`sample_window_list` path.
-        """
-        from repro.cpu.vector import PackGroup, pack_key
-
-        prepared = self._vector_lanes(list(windows))
-        if prepared is None:
-            return None
-        _descriptors, lanes, snapshot = prepared
-        return (
-            pack_key(self.config.machine, self.config.sampling),
-            PackGroup(self.space, lanes, snapshot),
-        )
 
     def group_core(self, group_name: str) -> CoreModel:
         """A warmed core dedicated to one counter group's campaign.
@@ -496,11 +356,7 @@ class Characterization:
 
         correlations = None
         if correlation_windows_per_group:
-            # The vector engine always takes the per-group campaign:
-            # its batch realization replaces the shared-core serial
-            # walk (degrading to the serial per-group campaign when a
-            # group core is ineligible for the batch engine).
-            if correlation_jobs > 1 or default_engine() == "vector":
+            if correlation_jobs > 1:
                 from repro.core.correlation import run_group_campaign
 
                 correlations = run_group_campaign(

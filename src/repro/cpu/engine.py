@@ -1,14 +1,13 @@
 """Engine selection for the window-execution layer.
 
-Three engines execute sampling windows:
+Two engines execute sampling windows:
 
 * ``fused`` — the default: per-window Python stepping through
   :class:`~repro.cpu.stream.SliceRunner`'s fused kernel (with the
   guarded fallback to the generic path for subclassed components);
 * ``reference`` — :class:`~repro.cpu.reference.ReferenceCoreModel`,
-  the pinned specification; never fuses, always the generic path;
-* ``vector`` — :mod:`repro.cpu.vector`, the columnar batch engine
-  advancing many windows at once as numpy struct-of-arrays.
+  the pinned specification; never fuses, always the generic path.
+  Its output is bit-identical to ``fused``.
 
 The selection travels through the ``REPRO_ENGINE`` environment
 variable rather than through :class:`~repro.config.ExperimentConfig`:
@@ -26,7 +25,7 @@ import os
 from typing import Optional, Tuple
 
 #: Engines accepted by ``--engine`` and ``REPRO_ENGINE``.
-ENGINES: Tuple[str, ...] = ("fused", "reference", "vector")
+ENGINES: Tuple[str, ...] = ("fused", "reference")
 
 #: Environment variable carrying the session-wide engine choice.
 ENGINE_ENV = "REPRO_ENGINE"

@@ -242,18 +242,3 @@ def run(
             remote_share=remote,
         )
     return ScalingResult(config=config, points=points)
-
-
-def window_demands(config=None, hw_windows: int = 40):
-    """The pass-1 topology campaigns (for the sweep planner).
-
-    Pass 2 re-simulates with CPI-scaled demands derived from pass-1
-    results, so only the microarchitectural pass is enumerable upfront.
-    """
-    from repro.experiments.common import WindowDemand, hw_recipe
-
-    config = config if config is not None else bench_config()
-    return [
-        WindowDemand(scaled_config(config, cores), hw_recipe(hw_windows))
-        for cores, _ in TOPOLOGIES
-    ]

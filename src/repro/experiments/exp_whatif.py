@@ -123,15 +123,3 @@ def run(
     return WhatIfResult(
         config=config, baseline_cpi=baseline.cpi, outcomes=outcomes
     )
-
-
-def window_demands(config=None, hw_windows: int = 60):
-    """The window campaigns :func:`run` issues (for the sweep planner)."""
-    from repro.experiments.common import WindowDemand, hw_recipe
-
-    config = config if config is not None else bench_config()
-    recipe = hw_recipe(hw_windows)
-    demands = [WindowDemand(config, recipe)]
-    for scenario in WhatIfAnalyzer().scenarios:
-        demands.append(WindowDemand(scenario.apply(config), recipe))
-    return demands

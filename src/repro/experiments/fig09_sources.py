@@ -121,11 +121,7 @@ def _source_shares(config: ExperimentConfig, hw_windows: int) -> HardwareSummary
 
 
 def _contrast_configs(config: ExperimentConfig):
-    """The two contrast configs: a TPC-W-like run and a 1-MCM topology.
-
-    Shared between :func:`run` and :func:`window_demands` so the sweep
-    planner enumerates exactly the campaigns :func:`run` will request.
-    """
+    """The two contrast configs: a TPC-W-like run and a 1-MCM topology."""
     tpcw = tpcw_like(duration_s=min(600.0, config.workload.duration_s))
     tpcw = dataclasses.replace(tpcw, sampling=config.sampling)
     single_mcm = dataclasses.replace(
@@ -171,18 +167,3 @@ def run(
         tpcw_modified_share=tpcw_modified,
         l25_single_mcm=l25,
     )
-
-
-def window_demands(
-    config=None, hw_windows: int = 60, with_contrasts: bool = True
-):
-    """The window campaigns :func:`run` issues (for the sweep planner)."""
-    from repro.experiments.common import WindowDemand, hw_recipe
-
-    config = config if config is not None else bench_config()
-    demands = [WindowDemand(config, hw_recipe(hw_windows))]
-    if with_contrasts:
-        contrast_recipe = hw_recipe(max(20, hw_windows // 2))
-        for contrast in _contrast_configs(config):
-            demands.append(WindowDemand(contrast, contrast_recipe))
-    return demands

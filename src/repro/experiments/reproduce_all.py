@@ -84,12 +84,17 @@ CATALOG: Tuple[Tuple[str, str, dict], ...] = (
 
 #: Schema of the ``--stats-json`` artifact.  The pre-supervisor shape
 #: (no ``schema`` key, no attempt accounting) is read back as v1;
-#: schema 2 (no pack accounting) gains packed-sweep defaults.
-SWEEP_STATS_SCHEMA = 3
+#: schema 3 carried packed-sweep accounting that schema 4 drops.
+SWEEP_STATS_SCHEMA = 4
 
-#: Task-tuple sentinel marking a batch-planner shard in the pool queue
-#: (plain catalog tasks are ``(title, module, kwargs, config)``).
-_SHARD_TASK = "__shard__"
+#: The packed-sweep accounting keys of schema 3, dropped on migration.
+_SCHEMA3_PACK_KEYS = (
+    "packed",
+    "batches",
+    "planned_lanes",
+    "packed_lanes",
+    "pack_efficiency",
+)
 
 
 def catalog_modules() -> List[str]:
@@ -168,32 +173,9 @@ class ReproduceAllResult:
     #: survived; ``degraded`` is True if it fell back to serial.
     pool_failures: int = 0
     degraded: bool = False
-    #: Window-execution engine the sweep ran under (fused/reference/
-    #: vector).  Part of the result identity, not the timing noise:
-    #: the vector engine is a different (statistically equivalent)
-    #: realization, so its reports are only byte-comparable to other
-    #: vector-engine sweeps.
+    #: Window-execution engine the sweep ran under (fused/reference).
+    #: A non-default engine is named in the summary head.
     engine: str = "fused"
-    #: True when the sweep ran through the batch planner
-    #: (:mod:`repro.experiments.batchplan`): window campaigns packed
-    #: into shared cross-config vector batches in pool workers, then
-    #: scattered back.  The report is byte-identical to a serial
-    #: ``engine="vector"`` sweep (the planner changes scheduling, not
-    #: results); the fields below are scheduling accounting.
-    packed: bool = False
-    #: Per packed engine: pack key, member campaigns, lane counts.
-    batches: List[Dict[str, Any]] = field(default_factory=list)
-    #: Lanes the plan called for vs lanes that ran packed; the gap is
-    #: campaigns that were vector-ineligible and degraded to serial.
-    planned_lanes: int = 0
-    packed_lanes: int = 0
-
-    @property
-    def pack_efficiency(self) -> float:
-        """Lanes packed / lanes planned (1.0 when nothing degraded)."""
-        if self.planned_lanes <= 0:
-            return 1.0
-        return self.packed_lanes / self.planned_lanes
 
     @property
     def rows_total(self) -> int:
@@ -252,12 +234,6 @@ class ReproduceAllResult:
             if self.degraded:
                 run_line += "   (degraded to serial)"
             lines.append(run_line)
-            if self.packed:
-                lines.append(
-                    f"packed: {self.packed_lanes}/{self.planned_lanes} "
-                    f"lanes in {len(self.batches)} batches "
-                    f"(pack efficiency {self.pack_efficiency * 100:.0f}%)"
-                )
         lines.append("")
         columns = f"  {'experiment':30s} {'rows':>5} {'off':>4}"
         if include_timing:
@@ -299,11 +275,6 @@ class ReproduceAllResult:
             "resumed": sorted(self.resumed),
             "pool_failures": self.pool_failures,
             "degraded": self.degraded,
-            "packed": self.packed,
-            "batches": [dict(b) for b in self.batches],
-            "planned_lanes": self.planned_lanes,
-            "packed_lanes": self.packed_lanes,
-            "pack_efficiency": round(self.pack_efficiency, 4),
             "per_experiment": {
                 r.module: {
                     "seconds": round(r.seconds, 3),
@@ -320,41 +291,26 @@ class ReproduceAllResult:
         }
 
 
-def _pack_defaults(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Fill the schema-3 pack-accounting fields on older documents."""
-    doc.setdefault("packed", False)
-    doc.setdefault("batches", [])
-    doc.setdefault("planned_lanes", 0)
-    doc.setdefault("packed_lanes", 0)
-    doc.setdefault("pack_efficiency", 1.0)
-    return doc
-
-
 def load_stats_dict(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalize a ``--stats-json`` document to the schema-3 shape.
+    """Normalize a ``--stats-json`` document to the schema-4 shape.
 
-    Schema-3 documents pass through (copied).  Schema-2 (supervised
-    pool, no pack accounting) gains the packed-sweep defaults.
+    Schema-4 documents pass through (copied).  Schema 3 loses its
+    packed-sweep accounting keys; schema 2 (supervised pool, from
+    before engine selection) gains the ``engine`` default.
     Pre-supervisor documents (no ``schema`` key) additionally gain
     ``resumed``/``pool_failures``/``degraded`` defaults and
     per-experiment ``attempts=1``, ``retries=0``, ``timed_out=0``.
     Anything else is rejected rather than half-parsed.
     """
     schema = doc.get("schema")
-    if schema == SWEEP_STATS_SCHEMA:
-        normalized = dict(doc)
-        normalized.setdefault("engine", "fused")
-        return _pack_defaults(normalized)
-    if schema == 2:
-        migrated = dict(doc)
-        migrated["schema"] = SWEEP_STATS_SCHEMA
-        # Schema-2 documents from before engine selection existed.
-        migrated.setdefault("engine", "fused")
-        return _pack_defaults(migrated)
+    if schema not in (SWEEP_STATS_SCHEMA, 3, 2, None):
+        raise ValueError(f"unsupported sweep-stats schema: {schema!r}")
+    migrated = dict(doc)
+    migrated["schema"] = SWEEP_STATS_SCHEMA
+    migrated.setdefault("engine", "fused")
+    for key in _SCHEMA3_PACK_KEYS:
+        migrated.pop(key, None)
     if schema is None:
-        migrated = dict(doc)
-        migrated["schema"] = SWEEP_STATS_SCHEMA
-        migrated.setdefault("engine", "fused")
         migrated.setdefault("resumed", [])
         migrated.setdefault("pool_failures", 0)
         migrated.setdefault("degraded", False)
@@ -366,8 +322,7 @@ def load_stats_dict(doc: Dict[str, Any]) -> Dict[str, Any]:
             entry.setdefault("timed_out", 0)
             per[module] = entry
         migrated["per_experiment"] = per
-        return _pack_defaults(migrated)
-    raise ValueError(f"unsupported sweep-stats schema: {schema!r}")
+    return migrated
 
 
 def _execute(task: Tuple[str, str, dict, ExperimentConfig]) -> ReproductionRecord:
@@ -418,22 +373,12 @@ def _execute(task: Tuple[str, str, dict, ExperimentConfig]) -> ReproductionRecor
     )
 
 
-def _execute_task(task):
-    """Pool target for both plain catalog entries and planner shards."""
-    if task[0] == _SHARD_TASK:
-        from repro.experiments import batchplan
-
-        return batchplan.execute_shard((task[1], task[2]))
-    return _execute(task)
-
-
 def run(
     config: Optional[ExperimentConfig] = None,
     only: Optional[List[str]] = None,
     jobs: int = 1,
     journal: Optional[Union[str, "Path"]] = None,
     policy: Optional[SupervisorPolicy] = None,
-    packed: bool = False,
 ) -> ReproduceAllResult:
     """Run the full catalog (or the named subset of module names).
 
@@ -450,40 +395,7 @@ def run(
             appended durably (fsync per line).
         policy: supervisor policy for the ``jobs > 1`` pool (timeouts,
             retry budget, backoff, serial-degradation threshold).
-        packed: route window campaigns through the batch planner
-            (:mod:`repro.experiments.batchplan`): the catalog's
-            ``window_demands`` are deduplicated, sharded over the
-            pool, packed into shared cross-config vector batches and
-            scattered back, and the experiments then run in the
-            parent as pure cache/store hits.  Forces the ``vector``
-            engine for the whole sweep (the report is byte-identical
-            to a serial ``--engine vector`` sweep).
     """
-    if not packed:
-        return _run(config, only, jobs, journal, policy, packed=False)
-    import os
-
-    from repro.cpu.engine import ENGINE_ENV, set_default_engine
-
-    previous_engine = os.environ.get(ENGINE_ENV)
-    set_default_engine("vector")
-    try:
-        return _run(config, only, jobs, journal, policy, packed=True)
-    finally:
-        if previous_engine is None:
-            set_default_engine(None)
-        else:
-            os.environ[ENGINE_ENV] = previous_engine
-
-
-def _run(
-    config: Optional[ExperimentConfig],
-    only: Optional[List[str]],
-    jobs: int,
-    journal: Optional[Union[str, "Path"]],
-    policy: Optional[SupervisorPolicy],
-    packed: bool,
-) -> ReproduceAllResult:
     config = config if config is not None else bench_config()
     known = catalog_modules()
     if only is not None:
@@ -521,57 +433,20 @@ def _run(
         if sweep_journal is not None:
             sweep_journal.append(record.to_journal_dict())
 
-    # Packed mode: split the pending catalog into window-campaign
-    # modules (enumerable demands, precomputed by planner shards and
-    # replayed in the parent) and plain modules (whole-experiment pool
-    # tasks, exactly as before).
-    shard_outcomes: List[Any] = []
-    window_pending: List[Tuple[str, str, dict, ExperimentConfig]] = []
-    plain_pending = pending
-    shard_tasks: List[Tuple[str, int, Any]] = []
-    if packed and pending:
-        from repro.experiments import batchplan
-
-        window_pending = [
-            task
-            for task in pending
-            if batchplan.module_exports_demands(task[1])
-        ]
-        window_names = {task[1] for task in window_pending}
-        plain_pending = [
-            task for task in pending if task[1] not in window_names
-        ]
-        plan = batchplan.plan_sweep(
-            config,
-            [(title, name, kwargs) for title, name, kwargs, _ in window_pending],
-            jobs,
-        )
-        shard_tasks = [
-            (_SHARD_TASK, index, shard)
-            for index, shard in enumerate(plan.shards)
-        ]
-
     sweep_start = time.perf_counter()
     pool_failures = 0
     degraded = False
     try:
-        # Shards lead the queue so workers start on the bulk window
-        # work while plain experiments fill the remaining slots.
-        pool_tasks = shard_tasks + plain_pending
-        if jobs > 1 and len(pool_tasks) > 1:
-            def on_result(index: int, payload, tstats: TaskStats) -> None:
-                if index < len(shard_tasks):
-                    if payload is not None:
-                        shard_outcomes.append(payload)
-                    return
-                payload.attempts = tstats.attempts
-                payload.retries = tstats.retries
-                payload.timed_out = tstats.timeouts
-                complete(payload)
+        if jobs > 1 and len(pending) > 1:
+            def on_result(index: int, record: ReproductionRecord, tstats: TaskStats) -> None:
+                record.attempts = tstats.attempts
+                record.retries = tstats.retries
+                record.timed_out = tstats.timeouts
+                complete(record)
 
             outcome = supervise(
-                _execute_task,
-                pool_tasks,
+                _execute,
+                pending,
                 jobs,
                 policy,
                 on_result=on_result,
@@ -579,20 +454,11 @@ def _run(
             )
             pool_failures = outcome.pool_failures
             degraded = outcome.degraded_serial
-            _record_pool_observability(
-                outcome.results[len(shard_tasks):], sweep_start
-            )
+            _record_pool_observability(outcome.results, sweep_start)
         else:
             jobs = 1
-            for task in shard_tasks:
-                shard_outcomes.append(_execute_task(task))
-            for task in plain_pending:
+            for task in pending:
                 complete(_execute(task))
-        if packed:
-            for task, record in _replay_window_tasks(
-                window_pending, shard_outcomes
-            ):
-                complete(record)
     finally:
         if sweep_journal is not None:
             sweep_journal.close()
@@ -606,14 +472,6 @@ def _run(
             records[module_name] = record
     from repro.cpu.engine import default_engine
 
-    packed_batches: List[Dict[str, Any]] = []
-    planned_lanes = 0
-    packed_lanes = 0
-    for outcome in shard_outcomes:
-        packed_batches.extend(outcome.batches)
-        planned_lanes += outcome.planned_lanes
-        packed_lanes += outcome.packed_lanes
-
     return ReproduceAllResult(
         config=config,
         records=records,
@@ -623,39 +481,7 @@ def _run(
         pool_failures=pool_failures,
         degraded=degraded,
         engine=default_engine(),
-        packed=packed,
-        batches=packed_batches,
-        planned_lanes=planned_lanes,
-        packed_lanes=packed_lanes,
     )
-
-
-def _replay_window_tasks(window_pending, shard_outcomes):
-    """Run the window-campaign experiments as store/cache replays.
-
-    Seeds the parent's :class:`~repro.runcache.RunCache` with the
-    workload results the shards simulated and installs a
-    :class:`~repro.core.windowstore.WindowStore` holding their packed
-    window snapshots, then executes each experiment in-process: every
-    ``sample_window_list`` call lands on a store hit, so the records
-    are produced without re-running a single window.  A campaign a
-    shard could not deliver (ineligible, or a shard lost to a
-    permanent pool failure) simply misses and computes inline — the
-    records are identical either way.
-    """
-    from repro.core import windowstore
-    from repro.runcache import default_cache
-
-    store = windowstore.WindowStore()
-    cache = default_cache()
-    for outcome in shard_outcomes:
-        for sim_config, sim_result in outcome.sims:
-            cache.put(sim_config, sim_result, rng_fork="workload")
-        for key, snaps in outcome.payloads:
-            store.put(key, snaps)
-    with windowstore.installed(store):
-        for task in window_pending:
-            yield task, _execute(task)
 
 
 def _record_pool_observability(

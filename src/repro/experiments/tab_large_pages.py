@@ -146,12 +146,3 @@ def run(
         variant = _measure(cfg, hw_windows)
         variants[variant.name] = variant
     return LargePagesResult(config=config, variants=variants)
-
-
-def window_demands(config=None, hw_windows: int = 50):
-    """The window campaigns :func:`run` issues (for the sweep planner)."""
-    from repro.experiments.common import WindowDemand, hw_recipe
-
-    config = config if config is not None else bench_config()
-    recipe = hw_recipe(hw_windows)
-    return [WindowDemand(cfg, recipe) for cfg in _variant_configs(config)]

@@ -38,9 +38,9 @@ REGRESSED = "regressed"
 
 #: Default thresholds: a significant >= 30% slowdown of a kernel's
 #: best time fails; a significant >= 10% slowdown warns.  (Tightened
-#: from 1.4/1.15 once the batch-engine trio joined the suite: the
-#: best-of-N minima of these kernels replicate well under 10% on one
-#: host, so a real 30% regression is far outside repetition noise.)
+#: from 1.4/1.15: the best-of-N minima of the suite's kernels
+#: replicate well under 10% on one host, so a real 30% regression is
+#: far outside repetition noise.)
 DEFAULT_FAIL_RATIO = 1.3
 DEFAULT_WARN_RATIO = 1.10
 DEFAULT_ALPHA = 0.05

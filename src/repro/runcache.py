@@ -249,13 +249,10 @@ class RunCache:
     ) -> str:
         """Seed the memory tier with an externally computed result.
 
-        Used by the sweep batch planner to scatter ``RunResult``s
-        computed in pool workers back into the parent's cache — the
-        result is bit-identical to what :meth:`get_or_run` would have
-        simulated (same config, seed and fork), so seeding is purely a
+        The result must be what :meth:`get_or_run` would have simulated
+        (same config, seed and fork), so seeding is purely a
         recomputation saving.  Returns the content key.  The disk tier
-        is untouched: a worker with a shared ``REPRO_RUN_CACHE_DIR``
-        already wrote it there.
+        is untouched.
         """
         key = config_key(config, rng_fork)
         self._memory[key] = result

@@ -1,18 +1,16 @@
-"""Engine selection and the vector batch realization of the sweep.
+"""Engine selection: the registry and its one contract, fused ≡ reference.
 
 The window-execution engine (:mod:`repro.cpu.engine`) travels through
 ``$REPRO_ENGINE``: ``reference`` swaps the pinned core into the
-characterization, ``vector`` reroutes ``sample_windows`` (and the
-Figure 10 campaign) onto the columnar batch engine.  The batch sweep
-is a *different realization* — per-window RNG forks from a shared warm
-snapshot instead of one continuous core — so the equivalence contract
-is distributional: the KS and Mann-Whitney tests here are the guard
-the ISSUE's bit-exactness promise delegates to for the float path.
+characterization, ``fused`` keeps the stock core.  The two must agree
+bit for bit — per window (``tests/cpu/test_reference_equivalence.py``)
+and, pinned here, for a whole rendered study.
 """
 
 import pytest
 
 from repro.core.characterization import Characterization
+from repro.core.report import render_report
 from repro.cpu.core_model import CoreModel
 from repro.cpu.engine import (
     ENGINES,
@@ -22,14 +20,14 @@ from repro.cpu.engine import (
 )
 from repro.cpu.reference import ReferenceCoreModel
 from repro.experiments.common import quick_config
-from repro.util.stats import ks_2samp, mann_whitney_u
-
-N_WINDOWS = 40
 
 
 @pytest.fixture(autouse=True)
-def _clean_engine(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def _clean_engine():
+    # Tests here write $REPRO_ENGINE; none may leak it into later tests.
+    set_default_engine(None)
+    yield
+    set_default_engine(None)
 
 
 class TestEngineRegistry:
@@ -38,9 +36,10 @@ class TestEngineRegistry:
 
     def test_resolve_normalizes_and_validates(self):
         assert resolve_engine(None) == "fused"
-        assert resolve_engine(" Vector ") == "vector"
-        with pytest.raises(ValueError):
-            resolve_engine("turbo")
+        assert resolve_engine(" Reference ") == "reference"
+        for bad in ("turbo", "vector"):
+            with pytest.raises(ValueError, match="fused, reference"):
+                resolve_engine(bad)
 
     def test_env_round_trip(self):
         for engine in ENGINES:
@@ -71,108 +70,19 @@ class TestCoreResolution:
             ReferenceCoreModel
         )
 
-    def test_vector_falls_back_serially_for_ineligible_core(self):
-        # A reference-pinned study is ineligible for the batch engine;
-        # the vector dispatch must degrade to the serial loop, not die.
-        class Pinned(Characterization):
-            core_model_cls = ReferenceCoreModel
 
-        set_default_engine("vector")
-        samples = Pinned(quick_config()).sample_windows(4)
-        assert len(samples) == 4
+def test_reference_report_is_byte_identical_to_fused():
+    """The registry's promise at report level: the same study, rendered
+    under either engine, is the same text — hardware summary, Figure 10
+    correlations and derived findings included."""
 
+    def rendered(engine):
+        set_default_engine(engine)
+        study = Characterization(quick_config())
+        assert type(study.core) is (
+            ReferenceCoreModel if engine == "reference" else CoreModel
+        )
+        report = study.run(hw_windows=12, correlation_windows_per_group=4)
+        return render_report(report)
 
-@pytest.fixture(scope="module")
-def serial_and_vector_sweeps():
-    """CPI series of the same sweep under both realizations."""
-    cfg = quick_config()
-    serial = Characterization(cfg).sample_windows(N_WINDOWS)
-    try:
-        set_default_engine("vector")
-        vector = Characterization(cfg).sample_windows(N_WINDOWS)
-    finally:
-        set_default_engine(None)
-    return serial, vector
-
-
-class TestVectorSweep:
-    def test_sample_metadata_matches_serial(self, serial_and_vector_sweeps):
-        serial, vector = serial_and_vector_sweeps
-        assert len(vector) == len(serial) == N_WINDOWS
-        for s, v in zip(serial, vector):
-            assert v.window_index == s.window_index
-            assert v.time_s == s.time_s
-            assert v.group_name is None
-            assert v.snapshot.instructions > 0
-
-    def test_cpi_distribution_equivalent(self, serial_and_vector_sweeps):
-        serial, vector = serial_and_vector_sweeps
-        cpi_s = [s.snapshot.cpi for s in serial]
-        cpi_v = [v.snapshot.cpi for v in vector]
-        ks = ks_2samp(cpi_s, cpi_v)
-        assert ks.p_value > 0.01, f"CPI distributions diverged: {ks}"
-        mw = mann_whitney_u(cpi_s, cpi_v)
-        assert 0.01 < mw.p_greater < 0.99, f"CPI stochastically shifted: {mw}"
-
-    def test_miss_rate_distribution_equivalent(self, serial_and_vector_sweeps):
-        serial, vector = serial_and_vector_sweeps
-        miss_s = [s.snapshot.l1d_miss_rate for s in serial]
-        miss_v = [v.snapshot.l1d_miss_rate for v in vector]
-        ks = ks_2samp(miss_s, miss_v)
-        assert ks.p_value > 0.01, f"L1D miss-rate distributions diverged: {ks}"
-
-    def test_vector_sweep_is_deterministic(self, serial_and_vector_sweeps):
-        _, vector = serial_and_vector_sweeps
-        cfg = quick_config()
-        try:
-            set_default_engine("vector")
-            again = Characterization(cfg).sample_windows(N_WINDOWS)
-        finally:
-            set_default_engine(None)
-        for a, b in zip(vector, again):
-            assert dict(a.snapshot.counts) == dict(b.snapshot.counts)
-
-
-@pytest.mark.slow
-def test_batched_correlation_campaign_matches_serial_shape():
-    """The vector Figure 10 campaign: same groups, same special pairs,
-    correlations in range, snapshots restricted to their group."""
-    from repro.core.correlation import (
-        run_group_campaign,
-        run_group_campaign_batched,
-    )
-
-    cfg = quick_config()
-    serial = run_group_campaign(cfg, windows_per_group=8)
-    batched = run_group_campaign_batched(cfg, windows_per_group=8)
-    assert batched is not None
-    assert set(batched.correlations) == set(serial.correlations)
-    for event, corr in batched.correlations.items():
-        assert -1.0 <= corr.r <= 1.0
-        assert corr.group == serial.correlations[event].group
-        assert corr.n_samples == 8
-    assert batched.r_target_miss_vs_icache_miss is not None
-    assert batched.r_speculation_vs_l1_miss is not None
-    assert batched.r_branches_vs_target_miss is not None
-    assert batched.r_cond_miss_vs_branches is not None
-
-
-@pytest.mark.slow
-def test_vector_engine_routes_group_campaign():
-    """Under the vector engine run_group_campaign takes the batch path
-    and produces the identical report (same realization, same forks)."""
-    from repro.core.correlation import (
-        run_group_campaign,
-        run_group_campaign_batched,
-    )
-
-    cfg = quick_config()
-    direct = run_group_campaign_batched(cfg, windows_per_group=6)
-    try:
-        set_default_engine("vector")
-        routed = run_group_campaign(cfg, windows_per_group=6)
-    finally:
-        set_default_engine(None)
-    assert {e: c.r for e, c in routed.correlations.items()} == {
-        e: c.r for e, c in direct.correlations.items()
-    }
+    assert rendered("reference") == rendered("fused")

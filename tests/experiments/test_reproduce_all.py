@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.reproduce_all import (
     CATALOG,
     SWEEP_STATS_SCHEMA,
-    ReproduceAllResult,
     ReproductionRecord,
     load_stats_dict,
     run,
@@ -91,6 +90,8 @@ class TestStatsSchema:
         assert stats["resumed"] == []
         assert stats["pool_failures"] == 0
         assert stats["degraded"] is False
+        assert stats["engine"] == "fused"
+        assert "packed" not in stats
         entry = stats["per_experiment"]["fig03_gc"]
         assert entry["attempts"] == 1
         assert entry["retries"] == 0
@@ -122,6 +123,43 @@ class TestStatsSchema:
         # Original fields survive; the input is not mutated.
         assert entry["seconds"] == 12.5
         assert "schema" not in legacy
+
+    @pytest.mark.parametrize("schema", [2, 3])
+    def test_schema_2_and_3_documents_migrate(self, schema):
+        legacy = {
+            "schema": schema,
+            "wall_clock_s": 5.0,
+            "jobs": 2,
+            "experiments": 1,
+            "resumed": [],
+            "pool_failures": 0,
+            "degraded": False,
+            "per_experiment": {},
+        }
+        if schema == 3:
+            legacy.update(
+                engine="reference",
+                packed=False,
+                batches=[],
+                planned_lanes=0,
+                packed_lanes=0,
+                pack_efficiency=1.0,
+            )
+        migrated = load_stats_dict(legacy)
+        assert migrated["schema"] == SWEEP_STATS_SCHEMA
+        # Schema 2 predates engine selection; schema 3 carried it.
+        assert migrated["engine"] == ("fused" if schema == 2 else "reference")
+        # Schema 3's packed-sweep accounting is dropped, not carried.
+        for key in (
+            "packed",
+            "batches",
+            "planned_lanes",
+            "packed_lanes",
+            "pack_efficiency",
+        ):
+            assert key not in migrated
+        assert migrated["jobs"] == 2
+        assert legacy["schema"] == schema
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):
@@ -159,100 +197,6 @@ class TestJournalRecordRoundTrip:
         assert record.attempts == 1
         assert record.retries == 0
         assert record.timed_out == 0
-
-
-class TestPackedStats:
-    def test_schema_2_document_gains_pack_defaults(self):
-        legacy = {
-            "schema": 2,
-            "wall_clock_s": 5.0,
-            "jobs": 2,
-            "experiments": 1,
-            "resumed": [],
-            "pool_failures": 0,
-            "degraded": False,
-            "per_experiment": {},
-        }
-        migrated = load_stats_dict(legacy)
-        assert migrated["schema"] == SWEEP_STATS_SCHEMA
-        assert migrated["packed"] is False
-        assert migrated["batches"] == []
-        assert migrated["planned_lanes"] == 0
-        assert migrated["packed_lanes"] == 0
-        assert migrated["pack_efficiency"] == 1.0
-        assert "packed" not in legacy
-
-    def test_v1_document_gains_pack_defaults_too(self):
-        migrated = load_stats_dict(
-            {"wall_clock_s": 1.0, "jobs": 1, "experiments": 0,
-             "per_experiment": {}}
-        )
-        assert migrated["packed"] is False
-        assert migrated["pack_efficiency"] == 1.0
-
-    def test_unpacked_stats_carry_pack_fields(self):
-        result = run(make_quick_config(), only=["fig03_gc"])
-        stats = result.stats_dict()
-        assert stats["packed"] is False
-        assert stats["planned_lanes"] == 0
-        assert stats["pack_efficiency"] == 1.0
-
-    def test_pack_efficiency_property(self):
-        result = ReproduceAllResult(
-            config=make_quick_config(),
-            records={},
-            total_seconds=0.0,
-            packed=True,
-            planned_lanes=200,
-            packed_lanes=150,
-        )
-        assert result.pack_efficiency == pytest.approx(0.75)
-        result.planned_lanes = 0
-        assert result.pack_efficiency == 1.0
-
-
-@pytest.mark.slow
-class TestPackedSweep:
-    """The batch planner is scheduling only: reports stay byte-identical
-    to a serial ``--engine vector`` sweep of the same config."""
-
-    SUBSET = ["fig05_cpi", "fig07_tlb", "fig03_gc"]
-
-    @pytest.fixture(scope="class")
-    def serial_vector(self):
-        from repro.cpu.engine import set_default_engine
-
-        set_default_engine("vector")
-        try:
-            return run(make_quick_config(), only=self.SUBSET)
-        finally:
-            set_default_engine(None)
-
-    @pytest.fixture(scope="class")
-    def packed(self):
-        return run(make_quick_config(), only=self.SUBSET, packed=True)
-
-    def test_report_byte_identical_to_serial_vector(
-        self, serial_vector, packed
-    ):
-        assert packed.render_lines(include_timing=False) == (
-            serial_vector.render_lines(include_timing=False)
-        )
-
-    def test_packed_accounting_present(self, packed):
-        assert packed.packed is True
-        assert packed.engine == "vector"
-        # figs 5 and 7 share one deduplicated segment campaign.
-        assert packed.planned_lanes > 0
-        assert packed.packed_lanes == packed.planned_lanes
-        assert len(packed.batches) >= 1
-        stats = packed.stats_dict()
-        assert stats["packed"] is True
-        assert stats["pack_efficiency"] == 1.0
-        assert stats["batches"][0]["lanes"] > 0
-
-    def test_records_in_catalog_order(self, serial_vector, packed):
-        assert list(packed.records) == list(serial_vector.records)
 
 
 @pytest.mark.slow

@@ -117,17 +117,6 @@ class TestObjProfZeroCost:
         charged = prof.build_profile().total(objprof.SLOT_LD_MISS)
         assert charged >= sampled > 0
 
-    def test_objprof_declines_vector_engine(self, quick_config):
-        from repro.core.characterization import Characterization
-        from repro.cpu.vector import vector_supported
-        from repro.obs import objprof
-
-        study = Characterization(quick_config)
-        with objprof.profile_objects():
-            ok, reason = vector_supported(study.core, study.space)
-            assert not ok
-            assert "objprof" in reason
-
     def test_objprof_bypasses_run_cache(self, quick_config):
         from repro.obs import objprof
 

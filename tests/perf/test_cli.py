@@ -19,11 +19,6 @@ ALL_KERNELS = {
     "cache_kernel",
     "counter_kernel",
     "window_execution",
-    "batch_windows_vector",
-    "batch_windows_fused",
-    "batch_windows_reference",
-    "reproduce_all_packed",
-    "reproduce_all_fused",
 }
 
 

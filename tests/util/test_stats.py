@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.util.stats import (
     RunningStats,
-    ks_2samp,
     pearson,
     percentile,
     shifted_zipf_weights,
@@ -152,46 +151,3 @@ class TestSummaries:
         assert rs.minimum == min(values)
         assert rs.maximum == max(values)
         assert rs.variance >= 0.0
-
-
-class TestKs2Samp:
-    def test_identical_samples_have_zero_statistic(self):
-        xs = [float(i) for i in range(40)]
-        r = ks_2samp(xs, list(xs))
-        assert r.statistic == 0.0
-        assert r.p_value == pytest.approx(1.0)
-
-    def test_disjoint_samples_rejected(self):
-        xs = [float(i) for i in range(40)]
-        ys = [float(i) + 1000.0 for i in range(40)]
-        r = ks_2samp(xs, ys)
-        assert r.statistic == pytest.approx(1.0)
-        assert r.p_value < 1e-6
-
-    def test_statistic_is_exact_for_known_case(self):
-        # At v=4 the CDFs are 4/4 vs 1/4 -> D = 0.75 exactly.
-        r = ks_2samp([1.0, 2.0, 3.0, 4.0], [2.5, 4.5, 5.0, 6.0])
-        assert r.statistic == pytest.approx(0.75)
-        assert r.n_x == r.n_y == 4
-
-    def test_same_distribution_not_rejected(self):
-        import random as _random
-
-        rng = _random.Random(13)
-        xs = [rng.gauss(0.0, 1.0) for _ in range(120)]
-        ys = [rng.gauss(0.0, 1.0) for _ in range(120)]
-        assert ks_2samp(xs, ys).p_value > 0.05
-
-    def test_shifted_distribution_rejected(self):
-        import random as _random
-
-        rng = _random.Random(13)
-        xs = [rng.gauss(0.0, 1.0) for _ in range(120)]
-        ys = [rng.gauss(1.5, 1.0) for _ in range(120)]
-        assert ks_2samp(xs, ys).p_value < 0.001
-
-    def test_empty_sample_raises(self):
-        with pytest.raises(ValueError):
-            ks_2samp([], [1.0])
-        with pytest.raises(ValueError):
-            ks_2samp([1.0], [])
