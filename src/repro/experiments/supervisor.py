@@ -230,10 +230,21 @@ def supervise(
                 # starts (and its timeout clock means) immediately.
                 while queue and len(in_flight) < workers:
                     i = queue.popleft()
-                    future = pool.submit(fn, tasks[i])
+                    try:
+                        future = pool.submit(fn, tasks[i])
+                    except BrokenProcessPool:
+                        # A worker died after the last submission.  This
+                        # task never started: requeue it free of charge.
+                        # The dead worker's future reports the crash;
+                        # with nothing in flight, tear down here.
+                        queue.appendleft(i)
+                        teardown = not in_flight
+                        break
                     in_flight[future] = i
                     if policy.task_timeout_s is not None:
                         deadlines[future] = time.monotonic() + policy.task_timeout_s
+                if teardown:
+                    break
                 poll = 0.25
                 if deadlines:
                     poll = min(

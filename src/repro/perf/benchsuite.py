@@ -2,10 +2,11 @@
 
 Times the same hot kernels as ``benchmarks/test_core_kernels.py`` —
 window execution through the fused ``SliceRunner.run_until`` pipeline,
-the array-backed cache, the slot-indexed counter bank — but as plain
-absolute timings suitable for a *trajectory*: every kernel runs N
-repetitions (identical work each time; stateful structures are rebuilt
-outside the timed region) and the full repetition sample is recorded,
+the array-backed cache, the slot-indexed counter bank — plus the
+workload tick loop (``SystemUnderTest.run``), as plain absolute
+timings suitable for a *trajectory*: every kernel runs N repetitions
+(identical work each time; stateful structures are rebuilt outside the
+timed region) and the full repetition sample is recorded,
 so downstream consumers (``repro perf-diff``, ``repro perf-gate``) can
 separate drift from noise instead of trusting one number.
 
@@ -134,6 +135,26 @@ def _counter_builder(increments: int):
     return setup, body
 
 
+def _workload_builder(duration_s: float, injection_rate: int, thread_pool: int):
+    import dataclasses
+
+    from repro.workload.presets import jas2004
+    from repro.workload.sut import SystemUnderTest
+
+    config = jas2004(ir=injection_rate, duration_s=duration_s, seed=2007)
+    config = config.with_overrides(
+        workload=dataclasses.replace(config.workload, thread_pool=thread_pool)
+    )
+
+    def setup():
+        return SystemUnderTest(config)
+
+    def body(sut):
+        sut.run()
+
+    return setup, body
+
+
 def run_suite(
     quick: bool = False,
     reps: int = MIN_REPETITIONS,
@@ -154,6 +175,11 @@ def run_suite(
     windows, window_cycles = (4, 20000) if quick else (12, 60000)
     accesses = 50_000 if quick else 200_000
     increments = 100_000 if quick else 300_000
+    # IR 60 on a 120-thread pool keeps the 4-core SUT saturated without
+    # rejecting arrivals, so the scheduler (AppServer.serve), the
+    # loop's hottest part, is about 60% of it.
+    tick_loop_s = 60.0 if quick else 300.0
+    tick_loop_ir, tick_loop_pool = 60, 120
     catalog = {
         "window_execution": (
             _core_builder(windows, window_cycles),
@@ -163,6 +189,14 @@ def run_suite(
         "counter_kernel": (
             _counter_builder(increments),
             {"increments": increments},
+        ),
+        "workload_tick_loop": (
+            _workload_builder(tick_loop_s, tick_loop_ir, tick_loop_pool),
+            {
+                "duration_s": tick_loop_s,
+                "injection_rate": tick_loop_ir,
+                "thread_pool": tick_loop_pool,
+            },
         ),
     }
     chosen = kernels if kernels is not None else sorted(catalog)

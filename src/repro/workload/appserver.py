@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.config import DegradationPolicy, TransactionSpec, WorkloadConfig
 from repro.workload.timeline import COMPONENTS
@@ -36,12 +36,13 @@ class AppServer:
         # sustained overload and the current low-priority shed fraction.
         self._overload_ticks = 0
         self.shed_fraction = 0.0
-        # Per-spec component proportions (normalized once).
-        self._proportions: Dict[str, Tuple[float, ...]] = {}
+        # Per-type component proportions (normalized once), indexed by
+        # ``Request.type_index``.
+        self._proportions: List[Tuple[float, ...]] = []
         for spec in config.transactions:
             total = spec.total_cpu_ms
-            self._proportions[spec.name] = tuple(
-                spec.cpu_ms.get(name, 0.0) / total for name in COMPONENTS
+            self._proportions.append(
+                tuple(spec.cpu_ms.get(name, 0.0) / total for name in COMPONENTS)
             )
 
     # ------------------------------------------------------------------
@@ -111,10 +112,10 @@ class AppServer:
             self.running.append(self.accept_queue.popleft())
             capacity -= 1
 
-    def resume(self, request: Request) -> None:
-        """A request's I/O finished; it becomes runnable again."""
-        self.io_blocked -= 1
-        self.running.append(request)
+    def resume_all(self, requests: List[Request]) -> None:
+        """These requests' I/O finished; they become runnable again."""
+        self.io_blocked -= len(requests)
+        self.running.extend(requests)
 
     # ------------------------------------------------------------------
     # One scheduling quantum
@@ -126,42 +127,77 @@ class AppServer:
 
         Returns ``(completed, io_submissions, cpu_by_component,
         cpu_by_type, used_ms)``.
+
+        This is the simulator's hottest loop, so each visit works on
+        locally bound request state, and every ``min``/``max`` of the
+        scheduling rule is an explicit comparison that returns the same
+        operand the builtin would (ties included): the loop is pinned
+        bit for bit by ``tests/workload/test_sut_golden.py``.
         """
         self._fill_pool()
-        cpu_by_component = [0.0] * len(COMPONENTS)
-        cpu_by_type = [0.0] * len(self.config.transactions)
+        proportions = self._proportions
+        cpu_by_type = [0.0] * len(proportions)
+        # One running sum per entry of COMPONENTS, in that order.
+        web = was_jited = was_nonjited = db2 = kernel = 0.0
         completed: List[Request] = []
         io_submissions: List[Request] = []
         used = 0.0
 
         remaining = capacity_ms
+        running = self.running
         # Processor sharing via repeated equal division: requests that
         # finish (or block on I/O) early return their unused share.
-        while remaining > 1e-9 and self.running:
-            share = remaining / len(self.running)
+        while remaining > 1e-9 and running:
+            share = remaining / len(running)
             still_running: List[Request] = []
             consumed_this_round = 0.0
-            for request in self.running:
-                want = min(share, request.remaining_cpu_ms)
-                budget = request.cpu_until_next_io()
-                if budget is not None:
-                    want = min(want, budget + 1e-12)
+            for request in running:
                 before = request.consumed_cpu_ms
-                hit_io = request.consume(want)
-                delta = request.consumed_cpu_ms - before
+                total = request.total_cpu_ms
+                # want = min(share, max(0.0, total - before))
+                want = total - before
+                if want >= share:
+                    want = share
+                elif want <= 0.0:
+                    want = 0.0
+                thresholds = request.io_thresholds
+                next_io = request.next_io
+                hit_io = False
+                if next_io < len(thresholds):
+                    # budget = max(0.0, CPU left before the next I/O
+                    # point); the request stops there if it gets that
+                    # far, otherwise want = min(want, budget + 1e-12).
+                    budget = thresholds[next_io] - before
+                    if budget <= 0.0:
+                        budget = 0.0
+                    if budget + 1e-12 < want:
+                        want = budget + 1e-12
+                    if want >= budget:
+                        want = budget
+                        hit_io = True
+                after = before + want
+                request.consumed_cpu_ms = after
+                # Not always equal to ``want`` in floating point.
+                delta = after - before
                 consumed_this_round += delta
-                proportions = self._proportions[request.spec.name]
-                for i, p in enumerate(proportions):
-                    cpu_by_component[i] += delta * p
-                cpu_by_type[request.type_index] += delta
+                type_index = request.type_index
+                p_web, p_jited, p_nonjited, p_db2, p_kernel = proportions[type_index]
+                web += delta * p_web
+                was_jited += delta * p_jited
+                was_nonjited += delta * p_nonjited
+                db2 += delta * p_db2
+                kernel += delta * p_kernel
+                cpu_by_type[type_index] += delta
                 if hit_io:
+                    request.next_io = next_io + 1
+                    request.in_io = True
                     io_submissions.append(request)
                     self.io_blocked += 1
-                elif request.done:
+                elif after >= total and next_io >= len(thresholds):
                     completed.append(request)
                 else:
                     still_running.append(request)
-            self.running = still_running
+            self.running = running = still_running
             used += consumed_this_round
             remaining -= consumed_this_round
             # If nothing was consumed this round every runnable request
@@ -170,6 +206,7 @@ class AppServer:
                 break
             self._fill_pool()
 
+        cpu_by_component = [web, was_jited, was_nonjited, db2, kernel]
         return completed, io_submissions, cpu_by_component, cpu_by_type, used
 
     @property

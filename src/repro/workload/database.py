@@ -33,6 +33,8 @@ class Database:
         #: miss probability (working set spilling the pool).  1.0 —
         #: the default — is exactly the pre-fault behavior.
         self.miss_factor = 1.0
+        # The unfaulted miss probability depends on the config alone.
+        self._base_miss = 1.0 - self.effective_hit_ratio
 
     @property
     def data_scale(self) -> float:
@@ -47,12 +49,16 @@ class Database:
 
     def plan_ios(self, spec: TransactionSpec) -> int:
         """Physical I/Os a new transaction of this type will incur."""
+        draw = self.rng.random
         n_queries = poisson(self.rng, spec.db_queries)
         self.queries_issued += n_queries
-        miss_p = min(0.98, (1.0 - self.effective_hit_ratio) * self.miss_factor)
+        # min(0.98, base miss * fault factor)
+        miss_p = self._base_miss * self.miss_factor
+        if miss_p >= 0.98:
+            miss_p = 0.98
         misses = 0
         for _ in range(n_queries):
-            if self.rng.random() < miss_p:
+            if draw() < miss_p:
                 misses += 1
         self.buffer_misses += misses
         return misses

@@ -37,9 +37,10 @@ class DiskModel:
         #: behavior.
         self.service_factor = 1.0
 
-    def submit(self, request: Request) -> None:
-        self._queue.append(request)
-        self.total_submitted += 1
+    def submit_all(self, requests: List[Request]) -> None:
+        """Queue requests that just blocked on I/O, in order."""
+        self._queue.extend(requests)
+        self.total_submitted += len(requests)
 
     def drop_all(self) -> List[Request]:
         """A crash loses all queued I/O: return and clear the queue."""
@@ -50,24 +51,28 @@ class DiskModel:
 
     def tick(self) -> List[Request]:
         """Advance one tick; returns requests whose I/O completed."""
-        budget = self._carry_ms + self.tick_ms * self.config.n_disks
-        service = self.config.service_ms * self.service_factor
+        config = self.config
+        queue = self._queue
+        budget = self._carry_ms + self.tick_ms * config.n_disks
+        service = config.service_ms * self.service_factor
         completed: List[Request] = []
-        while self._queue and budget >= service:
+        busy_ms = self.busy_ms
+        while queue and budget >= service:
             budget -= service
-            self.busy_ms += service
-            request = self._queue.popleft()
+            busy_ms += service
+            request = queue.popleft()
             request.io_complete()
             completed.append(request)
-            self.total_completed += 1
+        self.busy_ms = busy_ms
+        self.total_completed += len(completed)
         # Carry at most one service quantum of residual budget so an
         # empty queue does not bank unlimited capacity.  The cap is the
         # *un-degraded* quantum: capping against a fault-inflated
         # quantum would bank many healthy quanta of free capacity for
         # the tick a disk_degraded fault clears.
-        carry_cap = min(service, self.config.service_ms)
-        self._carry_ms = min(budget, carry_cap) if self._queue else 0.0
-        self.wait_samples += len(self._queue)
+        carry_cap = min(service, config.service_ms)
+        self._carry_ms = min(budget, carry_cap) if queue else 0.0
+        self.wait_samples += len(queue)
         return completed
 
     @property

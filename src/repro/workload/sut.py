@@ -128,6 +128,7 @@ class SystemUnderTest:
         request_rng = self.rngs.stream("workload.requests")
 
         specs = cfg.transactions
+        spec_cpu_ms = [spec.total_cpu_ms for spec in specs]
         alloc_per_cpu_ms = [
             spec.alloc_kb * KB / spec.total_cpu_ms for spec in specs
         ]
@@ -176,7 +177,13 @@ class SystemUnderTest:
             if mods.db_cpu_factor != 1.0:
                 inflation = 1.0 + (mods.db_cpu_factor - 1.0) * db_share[type_index]
             request = Request(
-                type_index, spec, now, request_rng, io_count, inflation
+                type_index,
+                spec,
+                now,
+                request_rng,
+                io_count,
+                inflation,
+                spec_cpu_ms[type_index],
             )
             request.attempt = attempt
             appserver.admit(request)
@@ -279,8 +286,7 @@ class SystemUnderTest:
                 if mutator_capacity > 0
                 else ([], [], [0.0] * len(COMPONENTS), [0.0] * len(specs), 0.0)
             )
-            for request in io_submissions:
-                disk.submit(request)
+            disk.submit_all(io_submissions)
 
             # --- Allocation and GC triggering -------------------------------
             alloc_bytes = 0
@@ -293,11 +299,11 @@ class SystemUnderTest:
                 gc_wall_remaining_ms = event.pause_ms
 
             # --- Disk progress ----------------------------------------------
-            for request in disk.tick():
-                appserver.resume(request)
+            appserver.resume_all(disk.tick())
 
             # --- Completions -------------------------------------------------
             completions = [0] * len(specs)
+            done_s = now + tick_s
             for request in completed:
                 if resilience_active:
                     request.finished = True
@@ -308,9 +314,9 @@ class SystemUnderTest:
                         tracker.zombie_completions += 1
                         continue
                 completions[request.type_index] += 1
-                rt = request.response_time_s(now + tick_s)
+                rt = request.response_time_s(done_s)
                 rt += webserver.response_overhead_s(request.spec)
-                responses[request.type_index].append((now + tick_s, rt))
+                responses[request.type_index].append((done_s, rt))
 
             idle_ms = max(0.0, capacity_ms - used_ms - gc_cpu_ms)
             timeline.append(
@@ -347,15 +353,19 @@ class SystemUnderTest:
         )
         if obs is not None:
             _record_run_observability(
-                obs, result, time.perf_counter() - wall_t0
+                obs, result, wall_t0, time.perf_counter() - wall_t0
             )
         return result
 
 
-def _record_run_observability(obs, result: RunResult, wall_s: float) -> None:
+def _record_run_observability(
+    obs, result: RunResult, wall_t0: float, wall_s: float
+) -> None:
     """Fold one finished SUT run into the active observability session.
 
     Runs *after* the result exists — reads it, never alters it.
+    ``wall_t0`` is the run's ``perf_counter()`` start, so the
+    ``sut.run`` span nests inside the ``simulate`` span that caused it.
     """
     cfg = result.config.workload
     metrics = obs.metrics
@@ -386,7 +396,7 @@ def _record_run_observability(obs, result: RunResult, wall_s: float) -> None:
     tracer.record(
         "sut.run",
         "run",
-        start_s=0.0,
+        start_s=wall_t0,
         duration_s=wall_s,
         clock=WALL,
         labels={"duration_s": cfg.duration_s, "seed": result.config.seed},

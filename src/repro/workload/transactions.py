@@ -2,8 +2,9 @@
 
 A :class:`Request` is one in-flight benchmark operation.  Its CPU
 demand and I/O plan are drawn once at creation (jittered around the
-:class:`~repro.config.TransactionSpec`); the SUT's scheduler then
-advances it tick by tick.  I/O points are expressed as CPU-progress
+:class:`~repro.config.TransactionSpec`); the SUT's scheduler,
+:meth:`repro.workload.appserver.AppServer.serve`, then advances it
+tick by tick.  I/O points are expressed as CPU-progress
 thresholds: when the request's consumed CPU crosses the next threshold
 it suspends into the disk queue (a DB2 buffer-pool miss).
 """
@@ -40,13 +41,14 @@ def poisson(rng: random.Random, lam: float) -> int:
         return 0
     if lam <= _KNUTH_LAMBDA_MAX:
         threshold = pow(2.718281828459045, -lam)
+        draw = rng.random
+        # The product starts at 1.0, and 1.0 * u == u exactly.
+        p = draw()
         k = 0
-        p = 1.0
-        while True:
-            p *= rng.random()
-            if p <= threshold:
-                return k
+        while p > threshold:
+            p *= draw()
             k += 1
+        return k
     # 1 - u maps random()'s [0, 1) onto (0, 1] so log() is total.
     k = 0
     total = -math.log(1.0 - rng.random())
@@ -81,20 +83,29 @@ class Request:
         rng: random.Random,
         io_count: int,
         cpu_inflation: float = 1.0,
+        spec_cpu_ms: Optional[float] = None,
     ):
+        """``spec_cpu_ms`` is ``spec.total_cpu_ms``, for callers that
+        create many requests of one spec and have it precomputed."""
         self.type_index = type_index
         self.spec = spec
         self.arrival_s = arrival_s
-        self.total_cpu_ms = spec.total_cpu_ms * rng.uniform(0.7, 1.35)
+        if spec_cpu_ms is None:
+            spec_cpu_ms = spec.total_cpu_ms
+        draw = rng.random
+        # rng.uniform(0.7, 1.35), draw for draw and bit for bit.
+        total = spec_cpu_ms * (0.7 + (1.35 - 0.7) * draw())
         if cpu_inflation != 1.0:
             # A fault (e.g. DB slowdown) inflating this request's CPU
             # demand; applied before I/O placement so the I/O points
             # stay proportional.
-            self.total_cpu_ms *= cpu_inflation
+            total *= cpu_inflation
+        self.total_cpu_ms = total
         self.consumed_cpu_ms = 0.0
         # I/O points spread uniformly over the request's CPU progress.
-        points = sorted(rng.random() for _ in range(io_count))
-        self.io_thresholds: List[float] = [p * self.total_cpu_ms for p in points]
+        points = [draw() for _ in range(io_count)]
+        points.sort()
+        self.io_thresholds: List[float] = [p * total for p in points]
         self.next_io = 0
         self.in_io = False
         #: Client attempt number (1 = first try; >1 = a retry).
@@ -104,42 +115,6 @@ class Request:
         self.abandoned = False
         #: The server completed this request.
         self.finished = False
-
-    @property
-    def remaining_cpu_ms(self) -> float:
-        return max(0.0, self.total_cpu_ms - self.consumed_cpu_ms)
-
-    @property
-    def done(self) -> bool:
-        return (
-            self.consumed_cpu_ms >= self.total_cpu_ms
-            and self.next_io >= len(self.io_thresholds)
-            and not self.in_io
-        )
-
-    def cpu_until_next_io(self) -> Optional[float]:
-        """CPU ms this request may consume before its next I/O point.
-
-        Returns None if no I/O points remain.
-        """
-        if self.next_io >= len(self.io_thresholds):
-            return None
-        return max(0.0, self.io_thresholds[self.next_io] - self.consumed_cpu_ms)
-
-    def consume(self, cpu_ms: float) -> bool:
-        """Advance by ``cpu_ms``; returns True if an I/O point was hit."""
-        if self.in_io:
-            raise RuntimeError("request is waiting on I/O")
-        if cpu_ms < 0:
-            raise ValueError("cannot consume negative CPU")
-        budget = self.cpu_until_next_io()
-        if budget is not None and cpu_ms >= budget:
-            self.consumed_cpu_ms += budget
-            self.next_io += 1
-            self.in_io = True
-            return True
-        self.consumed_cpu_ms += cpu_ms
-        return False
 
     def io_complete(self) -> None:
         if not self.in_io:

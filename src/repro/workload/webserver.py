@@ -42,4 +42,5 @@ class WebServer:
             mean = self.HTTP_OVERHEAD_MS
         else:
             mean = self.RMI_OVERHEAD_MS
-        return self.rng.uniform(0.5, 1.5) * mean / 1000.0
+        # rng.uniform(0.5, 1.5) is 0.5 + 1.0 * random(), bit for bit.
+        return (0.5 + self.rng.random()) * mean / 1000.0

@@ -6,12 +6,26 @@ import pytest
 
 from repro.experiments.reproduce_all import (
     CATALOG,
+    SHARED_RUNS,
     SWEEP_STATS_SCHEMA,
     ReproductionRecord,
+    _execute,
+    catalog_modules,
     load_stats_dict,
     run,
+    shared_runs_to_presimulate,
 )
+from repro.runcache import RunCache, config_key, set_default_cache
 from tests.conftest import make_quick_config
+
+
+def isolated_run(*args, **kwargs):
+    """``run`` against a private, empty run cache."""
+    previous = set_default_cache(RunCache())
+    try:
+        return run(*args, **kwargs)
+    finally:
+        set_default_cache(previous)
 
 
 class TestCatalog:
@@ -28,6 +42,70 @@ class TestCatalog:
                 f"repro.experiments.{module_name}"
             )
             assert hasattr(module, "run")
+
+
+class TestSharedRuns:
+    """A pool sweep simulates each run its experiments share once."""
+
+    def test_users_are_catalog_modules(self):
+        for users in SHARED_RUNS.values():
+            assert set(users) <= set(catalog_modules())
+
+    def test_only_runs_two_pending_experiments_share(self):
+        assert shared_runs_to_presimulate(
+            ["fig02_throughput", "fig03_gc", "fig04_profile"]
+        ) == [(None, "fig02_throughput")]
+        assert shared_runs_to_presimulate(
+            ["fig04_profile", "fig05_cpi", "exp_cluster"]
+        ) == [("workload", "fig04_profile")]
+        # One user (an --only subset, or the rest restored from a
+        # journal): the pool's single lookup is the only simulation.
+        assert shared_runs_to_presimulate(["fig02_throughput", "fig04_profile"]) == []
+
+    def test_pool_sweep_simulates_shared_baseline_once(self):
+        subset = ["fig02_throughput", "fig03_gc"]
+        serial = isolated_run(make_quick_config(), only=subset)
+        pooled = isolated_run(make_quick_config(), only=subset, jobs=2)
+        # Both experiments look up the baseline run; two workers used
+        # to simulate it at the same time.
+        assert serial.cache_misses == pooled.cache_misses == 1
+        assert [(r.cache_hits, r.cache_misses) for r in pooled.records.values()] == [
+            (r.cache_hits, r.cache_misses) for r in serial.records.values()
+        ]
+        assert pooled.render_lines(include_timing=False) == serial.render_lines(
+            include_timing=False
+        )
+
+    @pytest.mark.slow
+    def test_table_rows_list_exactly_their_users(self):
+        """Walk the quick catalog and log each experiment's run lookups:
+        each row of the table names exactly the experiments that look
+        that run up, so presimulating it adds no simulation and leaves
+        no user to simulate it again.  (Runs of derived configs that two
+        experiments share are not rows: their users sit four or more
+        places apart in catalog order, so a pool's disk tier serves the
+        later lookup.)"""
+
+        class LookupLog(RunCache):
+            def get_or_run(self, config, rng_fork=None):
+                self.keys.append(config_key(config, rng_fork))
+                return super().get_or_run(config, rng_fork)
+
+        config = make_quick_config()
+        cache = LookupLog()
+        cache.keys = []
+        users = {}
+        previous = set_default_cache(cache)
+        try:
+            for title, module_name, kwargs in CATALOG:
+                start = len(cache.keys)
+                _execute((title, module_name, kwargs, config))
+                for key in set(cache.keys[start:]):
+                    users.setdefault(key, set()).add(module_name)
+        finally:
+            set_default_cache(previous)
+        for rng_fork, listed in SHARED_RUNS.items():
+            assert users[config_key(config, rng_fork)] == set(listed), rng_fork
 
 
 class TestSubsetRun:
@@ -207,11 +285,11 @@ class TestParallelSweep:
 
     @pytest.fixture(scope="class")
     def serial(self):
-        return run(make_quick_config(), only=self.SUBSET)
+        return isolated_run(make_quick_config(), only=self.SUBSET)
 
     @pytest.fixture(scope="class")
     def parallel(self):
-        return run(make_quick_config(), only=self.SUBSET, jobs=4)
+        return isolated_run(make_quick_config(), only=self.SUBSET, jobs=4)
 
     def test_report_byte_identical_to_serial(self, serial, parallel):
         assert parallel.render_lines(include_timing=False) == serial.render_lines(
@@ -224,3 +302,9 @@ class TestParallelSweep:
     def test_rows_accounting_matches(self, serial, parallel):
         assert parallel.rows_total == serial.rows_total
         assert parallel.rows_off == serial.rows_off
+
+    def test_each_distinct_run_simulated_once(self, serial, parallel):
+        """Misses summed over the records count the distinct runs: no
+        worker re-simulates a run another one made."""
+        assert serial.cache_misses == 4  # baseline + three disk configs
+        assert parallel.cache_misses == serial.cache_misses

@@ -142,6 +142,37 @@ class TestWorkerCrash:
         assert outcome.pool_failures == 1
         assert sum(s.worker_crashes for s in outcome.stats) >= 1
 
+    def test_pool_broken_between_submissions_recovered(self, tmp_path, monkeypatch):
+        """A worker can die before the next task is handed over; the
+        submission then raises instead of returning a future."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments import supervisor
+
+        pools = []
+
+        class BreaksBeforeSecondSubmit(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                if self not in pools:
+                    pools.append(self)
+                    self.submitted = 0
+                if pools[0] is self and self.submitted == 1:
+                    # Hold the second submission until the first
+                    # task's worker has died and broken the pool.
+                    deadline = time.monotonic() + 10.0
+                    while not self._broken and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                self.submitted += 1
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", BreaksBeforeSecondSubmit)
+        marker = str(tmp_path / "kill-between")
+        tasks = [(marker, x) for x in range(3)]
+        outcome = supervise(_kill_once, tasks, jobs=2, policy=FAST)
+        assert outcome.results == [x + 1 for x in range(3)]
+        assert outcome.pool_failures == 1
+        assert outcome.stats[0].worker_crashes == 1
+
     def test_degrades_to_serial_after_pool_failure_limit(self, tmp_path):
         policy = SupervisorPolicy(
             max_attempts=4,

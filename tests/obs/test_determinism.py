@@ -194,6 +194,20 @@ class TestSessionObservedTheSweep:
         assert {"warmup", "steady", "sut.run"} <= phases
         assert len(obs.tracer.by_category("gc")) > 0
 
+    def test_sut_run_spans_nest_in_simulate_spans(self, enabled_sweep):
+        """A ``sut.run`` wall span starts at its run's perf_counter()
+        start, inside the ``simulate`` lookup that ran it, like every
+        other wall span (not at time 0)."""
+        _, obs = enabled_sweep
+        runs = [s for s in obs.tracer.by_category("run") if s.name == "sut.run"]
+        simulated = [s for s in obs.tracer.by_category("sim") if s.name == "simulate"]
+        assert runs and simulated
+        for run in runs:
+            assert any(
+                sim.start_s <= run.start_s and run.end_s <= sim.end_s
+                for sim in simulated
+            ), f"sut.run span {run} lies outside every simulate span"
+
     def test_simulate_lookups_audited(self, enabled_sweep):
         _, obs = enabled_sweep
         sources = {r.source for r in obs.run_records}

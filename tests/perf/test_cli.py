@@ -19,6 +19,7 @@ ALL_KERNELS = {
     "cache_kernel",
     "counter_kernel",
     "window_execution",
+    "workload_tick_loop",
 }
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.config import DiskConfig, WorkloadConfig
+from repro.workload.appserver import AppServer
 from repro.workload.database import Database
 from repro.workload.disk import DiskModel
 from repro.workload.transactions import Request
@@ -13,21 +14,22 @@ from repro.workload.transactions import Request
 def make_request(seed=0, io_count=1):
     cfg = WorkloadConfig()
     request = Request(0, cfg.transactions[0], 0.0, random.Random(seed), io_count)
-    request.consume(request.total_cpu_ms + 1)  # drive it into I/O
-    assert request.in_io
+    server = AppServer(cfg, n_cores=4)
+    server.admit(request)
+    _, ios, *_ = server.serve(1000.0)  # drive it into I/O
+    assert ios == [request] and request.in_io
     return request
 
 
 class TestDiskModel:
     def test_ram_disk_completes_immediately(self):
         disk = DiskModel(DiskConfig.ram_disk(), tick_s=0.1)
-        disk.submit(make_request())
+        disk.submit_all([make_request()])
         assert len(disk.tick()) == 1
 
     def test_hard_disk_throughput_bounded(self):
         disk = DiskModel(DiskConfig.hard_disks(1, service_ms=10.0), tick_s=0.1)
-        for i in range(30):
-            disk.submit(make_request(seed=i))
+        disk.submit_all([make_request(seed=i) for i in range(30)])
         done = disk.tick()
         # 100 ms tick / 10 ms service = 10 requests max.
         assert len(done) == 10
@@ -36,24 +38,21 @@ class TestDiskModel:
     def test_more_disks_more_throughput(self):
         one = DiskModel(DiskConfig.hard_disks(1, 10.0), 0.1)
         four = DiskModel(DiskConfig.hard_disks(4, 10.0), 0.1)
-        for i in range(50):
-            one.submit(make_request(seed=i))
-            four.submit(make_request(seed=100 + i))
+        one.submit_all([make_request(seed=i) for i in range(50)])
+        four.submit_all([make_request(seed=100 + i) for i in range(50)])
         assert len(four.tick()) == len(one.tick()) * 4
 
     def test_fifo_order(self):
         disk = DiskModel(DiskConfig.hard_disks(1, 60.0), tick_s=0.1)
         first = make_request(seed=1)
         second = make_request(seed=2)
-        disk.submit(first)
-        disk.submit(second)
+        disk.submit_all([first, second])
         done = disk.tick()
         assert done == [first]
 
     def test_utilization_accounting(self):
         disk = DiskModel(DiskConfig.hard_disks(2, 10.0), tick_s=0.1)
-        for i in range(10):
-            disk.submit(make_request(seed=i))
+        disk.submit_all([make_request(seed=i) for i in range(10)])
         disk.tick()
         assert 0.0 < disk.utilization(1) <= 1.0
 
@@ -70,8 +69,7 @@ class TestDiskModel:
         paid out as a completion burst the tick a disk_degraded fault
         cleared."""
         disk = DiskModel(DiskConfig.hard_disks(1, service_ms=40.0), tick_s=0.1)
-        for i in range(10):
-            disk.submit(make_request(seed=i))
+        disk.submit_all([make_request(seed=i) for i in range(10)])
         disk.service_factor = 3.0  # degraded service: 120 ms > the tick
         assert disk.tick() == []  # tick's 100 ms cannot finish one I/O
         disk.service_factor = 1.0  # fault clears
@@ -85,8 +83,7 @@ class TestDiskModel:
         """The fix must not change fault-free carry behavior: residual
         budget up to one quantum still rolls into the next tick."""
         disk = DiskModel(DiskConfig.hard_disks(1, service_ms=30.0), tick_s=0.1)
-        for i in range(10):
-            disk.submit(make_request(seed=i))
+        disk.submit_all([make_request(seed=i) for i in range(10)])
         assert len(disk.tick()) == 3  # 100 // 30, residual 10 ms kept
         assert len(disk.tick()) == 3  # (10 + 100) // 30
         assert len(disk.tick()) == 4  # (20 + 100) // 30

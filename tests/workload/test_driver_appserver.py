@@ -135,7 +135,7 @@ class TestAppServer:
         assert ios == [request]
         assert server.io_blocked == 1
         request.io_complete()  # the disk model does this on completion
-        server.resume(request)
+        server.resume_all([request])
         assert server.io_blocked == 0
         completed, *_ = server.serve(1000.0)
         assert completed == [request]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.config import WorkloadConfig
+from repro.workload.appserver import AppServer
 from repro.workload.transactions import Request, poisson
 
 
@@ -78,41 +79,67 @@ class TestPoissonLargeLambda:
 
 
 class TestRequest:
+    """Request state, advanced by the one scheduler: ``AppServer.serve``."""
+
     def make(self, spec, io_count=2, seed=3):
         return Request(0, spec, arrival_s=10.0, rng=random.Random(seed), io_count=io_count)
+
+    def serve(self, request, capacity_ms=1000.0):
+        server = AppServer(WorkloadConfig(), n_cores=4)
+        server.admit(request)
+        return server, server.serve(capacity_ms)
 
     def test_demand_jittered_around_spec(self, spec):
         demands = [self.make(spec, seed=i).total_cpu_ms for i in range(200)]
         mean = sum(demands) / len(demands)
         assert mean == pytest.approx(spec.total_cpu_ms, rel=0.1)
 
+    def test_demand_draw_matches_uniform(self, spec):
+        """The inlined jitter draws exactly what rng.uniform(0.7, 1.35)
+        would, followed by the sorted I/O points."""
+        rng = random.Random(9)
+        total = spec.total_cpu_ms * rng.uniform(0.7, 1.35)
+        points = sorted(rng.random() for _ in range(4))
+        request = self.make(spec, io_count=4, seed=9)
+        assert request.total_cpu_ms == total
+        assert request.io_thresholds == [p * total for p in points]
+
     def test_consume_until_done(self, spec):
         request = self.make(spec, io_count=0)
-        request.consume(request.total_cpu_ms + 1.0)
-        assert request.done
-        assert request.remaining_cpu_ms == 0.0
+        _, (completed, ios, _, _, used) = self.serve(request)
+        assert completed == [request] and ios == []
+        assert request.consumed_cpu_ms == request.total_cpu_ms
+        assert used == request.total_cpu_ms
 
     def test_io_points_interrupt(self, spec):
         request = self.make(spec, io_count=2)
-        hit = request.consume(request.total_cpu_ms + 1.0)
-        assert hit
+        server, (completed, ios, *_) = self.serve(request)
+        assert ios == [request] and completed == []
         assert request.in_io
-        assert not request.done
-        with pytest.raises(RuntimeError):
-            request.consume(1.0)
+        assert request.next_io == 1
+        assert request.consumed_cpu_ms == request.io_thresholds[0]
+        # A request waiting on I/O is not runnable: serving again leaves
+        # it untouched.
+        consumed = request.consumed_cpu_ms
+        assert server.serve(1000.0)[4] == 0.0
+        assert request.consumed_cpu_ms == consumed
         request.io_complete()
         assert not request.in_io
 
     def test_all_io_points_eventually_consumed(self, spec):
         request = self.make(spec, io_count=3)
+        server = AppServer(WorkloadConfig(), n_cores=4)
+        server.admit(request)
         for _ in range(10):
-            if request.done:
+            completed, ios, *_ = server.serve(1000.0)
+            if completed:
                 break
-            if request.in_io:
-                request.io_complete()
-            else:
-                request.consume(request.total_cpu_ms)
-        assert request.done
+            for blocked in ios:
+                blocked.io_complete()
+            server.resume_all(ios)
+        assert completed == [request]
+        assert request.next_io == len(request.io_thresholds) == 3
+        assert request.consumed_cpu_ms >= request.total_cpu_ms
 
     def test_response_time(self, spec):
         request = self.make(spec)
@@ -123,10 +150,22 @@ class TestRequest:
         with pytest.raises(RuntimeError):
             request.io_complete()
 
-    def test_negative_consume_rejected(self, spec):
-        with pytest.raises(ValueError):
-            self.make(spec).consume(-1.0)
+    def test_no_capacity_consumes_nothing(self, spec):
+        request = self.make(spec)
+        for capacity_ms in (0.0, -1.0):
+            _, (completed, ios, _, _, used) = self.serve(request, capacity_ms)
+            assert (completed, ios, used) == ([], [], 0.0)
+            assert request.consumed_cpu_ms == 0.0
 
-    def test_cpu_until_next_io_none_when_exhausted(self, spec):
+    def test_no_io_points_never_blocks(self, spec):
         request = self.make(spec, io_count=0)
-        assert request.cpu_until_next_io() is None
+        server = AppServer(WorkloadConfig(), n_cores=4)
+        server.admit(request)
+        # A quantum far below the demand: the request runs on, never
+        # suspending into I/O, until its CPU is consumed.
+        for _ in range(1000):
+            completed, ios, *_ = server.serve(1.0)
+            assert ios == []
+            if completed:
+                break
+        assert completed == [request]
