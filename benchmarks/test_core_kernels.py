@@ -4,9 +4,11 @@ Times the optimized kernels against the pinned pre-optimization
 implementations in :mod:`repro.cpu.reference`:
 
 * **window_execution** — full sampling windows through ``CoreModel``
-  vs ``ReferenceCoreModel`` (the headline number; the PR's acceptance
-  bar is a >= 3x speedup), with the per-window snapshots asserted
-  bit-identical so the speedup is provably for the same work;
+  on the ``fused`` engine vs ``ReferenceCoreModel`` (the acceptance
+  bar is a >= 3x speedup), and **window_execution_native** — the same
+  on the ``native`` engine (the kernel in C; bar >= 5x), each with the
+  per-window snapshots asserted bit-identical so the speedup is
+  provably for the same work;
 * **cache_kernel** — the array-backed ``SetAssociativeCache`` vs the
   OrderedDict reference on a mixed hit/miss access trace;
 * **counter_kernel** — slot-indexed ``CounterBank`` increments vs the
@@ -38,7 +40,9 @@ from repro.benchio import write_bench_json
 from repro.config import JvmConfig, MachineConfig, SamplingConfig
 from repro.core.characterization import Characterization
 from repro.cpu.cache import SetAssociativeCache
+from repro.cpu import native
 from repro.cpu.core_model import CoreModel, StaticSchedule
+from repro.cpu.engine import set_default_engine
 from repro.cpu.phases import (
     PhaseDescriptor,
     gc_mark_profile,
@@ -133,8 +137,15 @@ def _versus(entry_name, bench_json, opt, ref, extra):
     return ref_s / opt_s
 
 
-def test_window_execution_speedup(bench_json):
-    """Full windows, optimized vs reference — identical output, >=3x faster."""
+@pytest.fixture
+def engine():
+    """Set the session engine for one test; restore the default after."""
+    yield set_default_engine
+    set_default_engine(None)
+
+
+def _window_execution(bench_json, entry_name):
+    """Time 12 windows on the session engine against the reference."""
     n_windows = 12
 
     # The speedup must be for the same work: bit-identical snapshots
@@ -153,14 +164,28 @@ def test_window_execution_speedup(bench_json):
 
     opt = best_of(lambda: _build_core(CoreModel), body, REPS)
     ref = best_of(lambda: _build_core(ReferenceCoreModel), body, REPS)
-    speedup = _versus(
-        "window_execution",
+    return _versus(
+        entry_name,
         bench_json,
         opt,
         ref,
         {"windows": n_windows, "window_cycles": 60000},
     )
+
+
+def test_window_execution_speedup(bench_json, engine):
+    """Full windows, fused vs reference — identical output, >=3x faster."""
+    engine("fused")
+    speedup = _window_execution(bench_json, "window_execution")
     assert speedup >= 3.0, f"window-execution speedup {speedup:.2f}x < 3x"
+
+
+@pytest.mark.skipif(native.LIB is None, reason=f"native unavailable: {native.REASON}")
+def test_native_window_execution_speedup(bench_json, engine):
+    """Full windows, native vs reference — identical output, >=5x faster."""
+    engine("native")
+    speedup = _window_execution(bench_json, "window_execution_native")
+    assert speedup >= 5.0, f"native window-execution speedup {speedup:.2f}x < 5x"
 
 
 def test_cache_kernel_speedup(bench_json):

@@ -13,6 +13,10 @@ sweep stats, the ``repro bench`` suite) goes through
 * ``"git_describe"`` / ``"recorded_at"`` — which revision produced
   the numbers, and when (UTC ISO-8601), so envelopes can live in an
   append-only trajectory (:mod:`repro.perf.history`);
+* ``"engine"`` / ``"engine_reason"`` — the window-execution engine
+  that actually ran (:func:`repro.cpu.engine.effective_engine`) and
+  why it is not the requested one, so a gate never judges a native
+  number against a fused baseline;
 * ``"repetitions"`` / ``"spread"`` — the best-of-N measurement
   policy: how many timing repetitions each kernel ran, and the
   per-kernel relative spread ``(max - min) / min`` of those
@@ -39,7 +43,10 @@ BENCH_SCHEMA = 2
 
 #: Keys the envelope owns; results must not collide with them.
 RESERVED_KEYS = frozenset(
-    {"schema", "kind", "host", "git_describe", "recorded_at", "repetitions", "spread"}
+    {
+        "schema", "kind", "host", "git_describe", "recorded_at", "repetitions",
+        "spread", "engine", "engine_reason",
+    }
 )
 
 #: Defaults filled in when reading a schema-1 envelope.
@@ -49,6 +56,9 @@ _SCHEMA_1_DEFAULTS: Dict[str, object] = {
     "repetitions": 1,
     "spread": {},
 }
+#: Defaults for envelopes written before the engine stamp (every one
+#: of them ran the fused engine).
+_ENGINE_DEFAULTS: Dict[str, object] = {"engine": "fused", "engine_reason": None}
 
 
 def bench_payload(
@@ -78,6 +88,9 @@ def bench_payload(
     payload["recorded_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     payload["repetitions"] = repetitions
     payload["spread"] = dict(spread) if spread else {}
+    from repro.cpu.engine import effective_engine
+
+    payload["engine"], payload["engine_reason"] = effective_engine()
     return payload
 
 
@@ -86,19 +99,21 @@ def read_bench_payload(doc: Mapping[str, object]) -> Dict[str, object]:
 
     Schema-2 documents pass through (copied); schema-1 documents — the
     old committed BENCH files — gain the schema-2 provenance fields
-    with explicit defaults.  Anything else is rejected rather than
+    with explicit defaults.  Either gains the ``fused`` engine stamp
+    when it predates it.  Anything else is rejected rather than
     half-parsed.
     """
     schema = doc.get("schema")
-    if schema == BENCH_SCHEMA:
-        return dict(doc)
+    if schema not in (BENCH_SCHEMA, 1):
+        raise ValueError(f"unsupported bench envelope schema: {schema!r}")
+    migrated = dict(doc)
+    defaults = dict(_ENGINE_DEFAULTS)
     if schema == 1:
-        migrated = dict(doc)
         migrated["schema"] = BENCH_SCHEMA
-        for key, default in _SCHEMA_1_DEFAULTS.items():
-            migrated.setdefault(key, default)
-        return migrated
-    raise ValueError(f"unsupported bench envelope schema: {schema!r}")
+        defaults.update(_SCHEMA_1_DEFAULTS)
+    for key, default in defaults.items():
+        migrated.setdefault(key, default)
+    return migrated
 
 
 def bench_results(payload: Mapping[str, object]) -> Dict[str, object]:

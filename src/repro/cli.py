@@ -37,7 +37,7 @@ Commands::
 
 Every command accepts ``--scale quick|bench|full`` (default ``quick``)
 and ``--seed N``.  Simulation commands also accept
-``--engine fused|reference`` to pick the window-execution engine
+``--engine native|fused|reference`` to pick the window-execution engine
 (see :mod:`repro.cpu.engine`).  ``characterize``, ``figure`` and
 ``reproduce-all`` also accept ``--trace-json FILE`` to run under an
 observability session and export the span trace plus a run manifest.
@@ -609,8 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="window-execution engine: fused (default) or reference "
-        "(the pinned pre-optimization core; bit-identical output).  "
+        help="window-execution engine: native (default; the fused "
+        "kernel compiled to C, falling back to fused when it cannot "
+        "be built), fused, or reference (the pinned pre-optimization "
+        "core).  All three produce bit-identical output.  "
         "Also settable via $REPRO_ENGINE; the flag wins and is "
         "inherited by worker processes",
     )
@@ -756,8 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="also write wall-clock / per-experiment / cache-counter "
-        "stats as JSON (schema 4: includes the engine and "
-        "attempts/retries/timed_out)",
+        "stats as JSON (schema 4: includes the engine that ran, why "
+        "it is not native if so, and attempts/retries/timed_out)",
     )
     everything.add_argument(
         "--resume",

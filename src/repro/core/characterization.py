@@ -25,7 +25,7 @@ from repro.config import ExperimentConfig
 from repro.core.correlation import CpiCorrelationReport, CpiCorrelationStudy
 from repro.core.profile_analysis import ProfileAnalysis, analyze_profile
 from repro.cpu.core_model import CoreModel
-from repro.cpu.engine import default_engine
+from repro.cpu.engine import core_model_class
 from repro.cpu.regions import AddressSpace
 from repro.cpu.sources import DataSource, InstSource
 from repro.hpm.counters import CounterSnapshot
@@ -156,7 +156,7 @@ class Characterization:
     #: :class:`repro.cpu.reference.ReferenceCoreModel` to time the
     #: pinned pre-optimization kernels end to end.  When left on the
     #: stock :class:`CoreModel` the session engine
-    #: (:func:`repro.cpu.engine.default_engine`) picks the actual
+    #: (:func:`repro.cpu.engine.core_model_class`) picks the actual
     #: implementation — an explicit rebinding always wins over the
     #: engine so existing benchmark/test monkeypatching keeps working.
     core_model_cls = CoreModel
@@ -224,18 +224,15 @@ class Characterization:
     def _resolved_core_model_cls(self):
         """The core class after engine selection.
 
-        ``reference`` swaps in the pinned
-        :class:`~repro.cpu.reference.ReferenceCoreModel`; ``fused``
-        builds the stock :class:`CoreModel`.  A subclass or test that
-        rebinds :attr:`core_model_cls` bypasses the engine entirely.
+        :func:`repro.cpu.engine.core_model_class`: ``reference`` swaps
+        in the pinned :class:`~repro.cpu.reference.ReferenceCoreModel`;
+        ``native`` and ``fused`` build the stock :class:`CoreModel`.  A
+        subclass or test that rebinds :attr:`core_model_cls` bypasses
+        the engine entirely.
         """
         if self.core_model_cls is not CoreModel:
             return self.core_model_cls
-        if default_engine() == "reference":
-            from repro.cpu.reference import ReferenceCoreModel
-
-            return ReferenceCoreModel
-        return CoreModel
+        return core_model_class()
 
     @property
     def core(self) -> CoreModel:

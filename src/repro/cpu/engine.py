@@ -1,13 +1,19 @@
 """Engine selection for the window-execution layer.
 
-Two engines execute sampling windows:
+Three engines execute sampling windows, all bit-identical:
 
-* ``fused`` — the default: per-window Python stepping through
+* ``native`` — the default: the fused kernel compiled to C
+  (:mod:`repro.cpu.native`, cffi + the system compiler).  It needs a
+  one-time build per host; when that is impossible (no cffi, no
+  compiler, no writable cache) or a slice cannot run in C (objprof
+  active, a subclassed or patched collaborator, a draw bound over 32
+  bits) the window runs on ``fused`` instead, and
+  :func:`effective_engine` / :data:`repro.cpu.native.DECLINED` say why;
+* ``fused`` — per-window Python stepping through
   :class:`~repro.cpu.stream.SliceRunner`'s fused kernel (with the
   guarded fallback to the generic path for subclassed components);
 * ``reference`` — :class:`~repro.cpu.reference.ReferenceCoreModel`,
   the pinned specification; never fuses, always the generic path.
-  Its output is bit-identical to ``fused``.
 
 The selection travels through the ``REPRO_ENGINE`` environment
 variable rather than through :class:`~repro.config.ExperimentConfig`:
@@ -25,14 +31,14 @@ import os
 from typing import Optional, Tuple
 
 #: Engines accepted by ``--engine`` and ``REPRO_ENGINE``.
-ENGINES: Tuple[str, ...] = ("fused", "reference")
+ENGINES: Tuple[str, ...] = ("native", "fused", "reference")
 
 #: Environment variable carrying the session-wide engine choice.
 ENGINE_ENV = "REPRO_ENGINE"
 
 
 def default_engine() -> str:
-    """The session's engine: ``$REPRO_ENGINE`` or ``fused``.
+    """The requested engine: ``$REPRO_ENGINE`` or ``native``.
 
     Read dynamically (not cached at import) so tests and the CLI can
     flip the environment and observe the change immediately.
@@ -53,12 +59,44 @@ def set_default_engine(engine: Optional[str]) -> None:
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name; ``None`` means the fused default."""
+    """Validate an engine name; ``None`` means the native default."""
     if engine is None:
-        return "fused"
+        return "native"
     name = engine.strip().lower()
     if name not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
         )
     return name
+
+
+def effective_engine() -> Tuple[str, Optional[str]]:
+    """The engine windows run on, and why it is not the requested one.
+
+    ``("native", None)`` when the compiled kernel is loaded, else
+    ``("fused", <reason>)`` for a ``native`` request; other requests
+    run as asked, with no reason.
+    """
+    requested = default_engine()
+    if requested != "native":
+        return requested, None
+    from repro.cpu import native
+
+    reason = native.load()
+    return ("native", None) if reason is None else ("fused", reason)
+
+
+def core_model_class():
+    """The core class for the requested engine.
+
+    :class:`~repro.cpu.reference.ReferenceCoreModel` for ``reference``;
+    the stock :class:`~repro.cpu.core_model.CoreModel` otherwise, whose
+    slice runner picks native or fused per slice.
+    """
+    if default_engine() == "reference":
+        from repro.cpu.reference import ReferenceCoreModel
+
+        return ReferenceCoreModel
+    from repro.cpu.core_model import CoreModel
+
+    return CoreModel

@@ -23,6 +23,7 @@ import random
 from typing import Optional, Tuple
 
 from repro.config import MachineConfig
+from repro.cpu import native
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.prefetch import PrefetchOutcome, StreamPrefetcher
 from repro.cpu.regions import Region
@@ -136,6 +137,7 @@ class MemorySystem:
 
     def reset_structures(self) -> None:
         """Flush all cached state (run boundaries)."""
+        native.release(self)  # the compiled kernel may hold the sets
         self.l1i.flush()
         self.l1d.flush()
         self.prefetcher.reset()

@@ -43,6 +43,11 @@ the order the un-inlined implementation performs them, and the RNG is
 drawn in exactly the same sequence, so the kernel is bit-identical to
 the pinned reference in :mod:`repro.cpu.reference` — the equivalence
 is asserted by tests and by ``benchmarks/test_core_kernels.py``.
+
+Engine ``native`` (the default) runs this same kernel compiled to C
+(:mod:`repro.cpu.native`, a line-for-line port under the same rules);
+:meth:`SliceRunner._run_until_impl` picks it per slice and runs the
+Python kernel whenever the C one is unavailable or declines.
 """
 
 from __future__ import annotations
@@ -52,8 +57,10 @@ import time
 from math import log as _log
 from typing import Dict, List, Tuple
 
+from repro.cpu import native as _native
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import SetAssociativeCache
+from repro.cpu.engine import default_engine
 from repro.cpu.hierarchy import MemorySystem
 from repro.cpu.phases import CodeUnit, PhaseProfile
 from repro.cpu.prefetch import StreamPrefetcher
@@ -487,15 +494,27 @@ class SliceRunner:
     def _run_until_impl(self, cycle_limit: float) -> None:
         """The real main loop behind :meth:`run_until`.
 
-        Dispatches to the fused kernel below, where the whole block
-        pipeline is inlined; see the module docstring for the kernel
-        contract.  Every RNG draw and every float addition into
-        ``cycles`` happens in the same order, with the same values, as
-        :meth:`_run_generic` and the pinned reference implementation.
+        Dispatches to the compiled kernel (engine ``native``) or the
+        fused kernel below, where the whole block pipeline is inlined;
+        see the module docstring for the kernel contract.  Every RNG
+        draw and every float addition into ``cycles`` happens in the
+        same order, with the same values, as :meth:`_run_generic` and
+        the pinned reference implementation.
         """
+        # Every path but native first takes the core's state back from C.
+        native = default_engine() == "native" and _native.load() is None
         if not self._can_fuse():
+            if native:
+                _native.DECLINED["a collaborator is subclassed or patched"] += 1
+            _native.release(self.memory)
             self._run_generic(cycle_limit)
             return
+        if native:
+            if _objprof._ACTIVE is not None:
+                _native.DECLINED["objprof is active"] += 1
+            elif _native.run(self, cycle_limit):
+                return
+        _native.release(self.memory)
         # --- RNG and profile scalars --------------------------------
         rng = self.rng
         rnd = rng.random

@@ -15,7 +15,8 @@ from typing import List, Optional
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization
 from repro.core.vertical import gc_alignment
-from repro.cpu.core_model import CoreModel, StaticSchedule
+from repro.cpu.core_model import StaticSchedule
+from repro.cpu.engine import core_model_class
 from repro.cpu.phases import PhaseDescriptor, idle_profile
 from repro.experiments.common import Row, bench_config, fmt, header, within
 from repro.experiments.hpm_segment import Segment, sample_segment
@@ -87,7 +88,7 @@ def measure_idle_cpi(config: ExperimentConfig, n_windows: int = 8) -> float:
     space = AddressSpace.build(config.machine, config.jvm, config.workload.sharing)
     idle = idle_profile(rngs.stream("idle"), space)
     schedule = StaticSchedule(PhaseDescriptor(slices=((idle, 1.0),), label="idle"))
-    core = CoreModel(config.machine, space, schedule, config.sampling, rngs)
+    core = core_model_class()(config.machine, space, schedule, config.sampling, rngs)
     core.warm_up(range(3))
     snaps = [core.execute_window(i) for i in range(n_windows)]
     agg = snaps[0]

@@ -251,9 +251,13 @@ class ReproduceAllResult:
     #: survived; ``degraded`` is True if it fell back to serial.
     pool_failures: int = 0
     degraded: bool = False
-    #: Window-execution engine the sweep ran under (fused/reference).
-    #: A non-default engine is named in the summary head.
+    #: Window-execution engine the sweep ran on (native/fused/
+    #: reference: the effective one, after any native fallback), and
+    #: why it is not ``native`` when that was requested.  Only
+    #: ``reference`` is named in the summary head: native and fused
+    #: reports are the same bytes.
     engine: str = "fused"
+    engine_reason: Optional[str] = None
 
     @property
     def rows_total(self) -> int:
@@ -293,7 +297,7 @@ class ReproduceAllResult:
             f"paper-vs-measured rows: {self.rows_total}   "
             f"off-band: {len(self.rows_off)}"
         )
-        if self.engine != "fused":
+        if self.engine == "reference":
             head += f"   engine: {self.engine}"
         if include_timing:
             head += f"   wall clock: {self.total_seconds:.0f}s"
@@ -345,6 +349,7 @@ class ReproduceAllResult:
             "wall_clock_s": round(self.total_seconds, 3),
             "jobs": self.jobs,
             "engine": self.engine,
+            "engine_reason": self.engine_reason,
             "experiments": len(self.records),
             "rows_total": self.rows_total,
             "rows_off": len(self.rows_off),
@@ -386,6 +391,7 @@ def load_stats_dict(doc: Dict[str, Any]) -> Dict[str, Any]:
     migrated = dict(doc)
     migrated["schema"] = SWEEP_STATS_SCHEMA
     migrated.setdefault("engine", "fused")
+    migrated.setdefault("engine_reason", None)
     for key in _SCHEMA3_PACK_KEYS:
         migrated.pop(key, None)
     if schema is None:
@@ -555,8 +561,9 @@ def run(
         record = executed.get(module_name) or restored.get(module_name)
         if record is not None:
             records[module_name] = record
-    from repro.cpu.engine import default_engine
+    from repro.cpu.engine import effective_engine
 
+    engine, engine_reason = effective_engine()
     return ReproduceAllResult(
         config=config,
         records=records,
@@ -565,7 +572,8 @@ def run(
         resumed=tuple(sorted(restored)),
         pool_failures=pool_failures,
         degraded=degraded,
-        engine=default_engine(),
+        engine=engine,
+        engine_reason=engine_reason,
     )
 
 

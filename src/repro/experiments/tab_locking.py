@@ -20,7 +20,8 @@ from typing import List, Optional
 
 from repro.config import ExperimentConfig
 from repro.core.characterization import Characterization
-from repro.cpu.core_model import CoreModel, StaticSchedule
+from repro.cpu.core_model import StaticSchedule
+from repro.cpu.engine import core_model_class
 from repro.cpu.phases import PhaseDescriptor, kernel_profile
 from repro.cpu.regions import AddressSpace
 from repro.experiments.common import Row, bench_config, fmt, header, within
@@ -104,7 +105,7 @@ def _kernel_sync_fraction(config: ExperimentConfig, n_windows: int = 10) -> floa
     schedule = StaticSchedule(
         PhaseDescriptor(slices=((kernel, 1.0),), label="kernel")
     )
-    core = CoreModel(config.machine, space, schedule, config.sampling, rngs)
+    core = core_model_class()(config.machine, space, schedule, config.sampling, rngs)
     core.warm_up(range(3))
     snaps = [core.execute_window(i) for i in range(n_windows)]
     agg = snaps[0]

@@ -65,7 +65,8 @@ def best_of(
 # ----------------------------------------------------------------------
 def _core_builder(windows: int, window_cycles: int):
     from repro.config import JvmConfig, MachineConfig, SamplingConfig
-    from repro.cpu.core_model import CoreModel, StaticSchedule
+    from repro.cpu.core_model import StaticSchedule
+    from repro.cpu.engine import core_model_class
     from repro.cpu.phases import (
         PhaseDescriptor,
         gc_mark_profile,
@@ -88,7 +89,7 @@ def _core_builder(windows: int, window_cycles: int):
             )
         )
         sampling = SamplingConfig(window_cycles=window_cycles)
-        return CoreModel(
+        return core_model_class()(
             machine, space, StaticSchedule(descriptor), sampling, RngFactory(42)
         )
 

@@ -280,8 +280,10 @@ def evaluate_gate(
     if pair is None:
         report = GateReport(
             skipped_reason=(
-                "no clean baseline: every earlier record was measured "
-                "in a dirty working tree (git describe ends in -dirty)"
+                "no clean baseline: every earlier record on the "
+                f"{records[-1].get('engine')} engine was measured in a "
+                "dirty working tree (git describe ends in -dirty), or "
+                "there is none"
             )
         )
         report.notes.extend(notes)

@@ -7,7 +7,9 @@ interfaces).  Nothing else in the suite exercised the generic path via
 a *subclassed* collaborator, so a stale fallback would only surface in
 user code.  These tests force the generic path through behaviour-
 preserving subclasses and assert it stays bit-identical to the pinned
-:class:`~repro.cpu.reference.ReferenceCoreModel`.
+:class:`~repro.cpu.reference.ReferenceCoreModel` — under the
+``native`` engine (which must decline such a slice and release the
+core's state to the Python objects first) as well as ``fused``.
 """
 
 import random
@@ -18,6 +20,7 @@ from repro.config import JvmConfig, MachineConfig, SamplingConfig
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core_model import CoreModel, StaticSchedule
+from repro.cpu.engine import set_default_engine
 from repro.cpu.phases import (
     PhaseDescriptor,
     gc_mark_profile,
@@ -30,6 +33,15 @@ from repro.util.rng import RngFactory
 
 N_WINDOWS = 4
 SEED = 1311
+ENGINES = ("native", "fused")
+
+
+def _windows(core, engine, windows):
+    set_default_engine(engine)
+    try:
+        return [core.execute_window(w) for w in windows]
+    finally:
+        set_default_engine(None)
 
 
 class PassthroughBranchUnit(BranchUnit):
@@ -123,28 +135,45 @@ class TestGenericPathBitIdentical:
 
     def test_branch_subclass_windows(self, reference_snaps):
         ref_snaps, ref_hw = reference_snaps
-        core = _build(SubclassedBranchCore)
-        for w, ref in enumerate(ref_snaps):
-            snap = core.execute_window(w)
-            assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
-        assert _hardware_state(core) == ref_hw
+        for engine in ENGINES:
+            core = _build(SubclassedBranchCore)
+            snaps = _windows(core, engine, range(N_WINDOWS))
+            for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
+                assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
+            assert _hardware_state(core) == ref_hw
 
     def test_cache_subclass_windows(self, reference_snaps):
         ref_snaps, ref_hw = reference_snaps
+        for engine in ENGINES:
+            core = _build(CoreModel)
+            for attr in ("l1i", "l1d"):
+                geo = getattr(core.machine, attr)
+                stock = getattr(core.memory, attr)
+                setattr(
+                    core.memory,
+                    attr,
+                    PassthroughCache(
+                        n_sets=stock.n_sets,
+                        associativity=geo.associativity,
+                        policy=geo.policy,
+                    ),
+                )
+            snaps = _windows(core, engine, range(N_WINDOWS))
+            for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
+                assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
+            assert _hardware_state(core) == ref_hw
+
+    def test_native_hands_its_state_to_the_generic_path(self, reference_snaps):
+        """Native windows, then a patch that forces the generic path:
+        the C-held caches, tables and backing RNG must come back to the
+        Python objects before the generic path reads them."""
+        ref_snaps, ref_hw = reference_snaps
         core = _build(CoreModel)
-        for attr in ("l1i", "l1d"):
-            geo = getattr(core.machine, attr)
-            stock = getattr(core.memory, attr)
-            setattr(
-                core.memory,
-                attr,
-                PassthroughCache(
-                    n_sets=stock.n_sets,
-                    associativity=geo.associativity,
-                    policy=geo.policy,
-                ),
-            )
-        for w, ref in enumerate(ref_snaps):
-            snap = core.execute_window(w)
+        half = N_WINDOWS // 2
+        snaps = _windows(core, "native", range(half))
+        original = core.memory.load
+        core.memory.load = lambda addr, region: original(addr, region)
+        snaps += _windows(core, "native", range(half, N_WINDOWS))
+        for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
             assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
         assert _hardware_state(core) == ref_hw

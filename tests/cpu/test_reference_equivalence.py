@@ -1,12 +1,14 @@
 """Determinism regression: the kernel rewrite changed no golden output.
 
-Runs the optimized :class:`~repro.cpu.core_model.CoreModel` and the
+Runs the optimized :class:`~repro.cpu.core_model.CoreModel` — once on
+the ``native`` engine (the kernel in C) and once on ``fused`` — and the
 pinned pre-optimization :class:`~repro.cpu.reference.ReferenceCoreModel`
 side by side on a fixed seed and asserts every per-window counter
 snapshot and every piece of persistent hardware state (cache and TLB
-hit/miss totals) is identical — the optimized kernels must draw the
-same RNG sequence and add the same floats in the same order as the
-original structures.
+hit/miss totals, and between the two stock cores the way lists and
+predictor tables themselves) is identical — the optimized kernels must
+draw the same RNG sequence and add the same floats in the same order
+as the original structures.
 """
 
 import random
@@ -14,7 +16,9 @@ import random
 import pytest
 
 from repro.config import JvmConfig, MachineConfig, SamplingConfig
+from repro.cpu import native
 from repro.cpu.core_model import CoreModel, StaticSchedule
+from repro.cpu.engine import set_default_engine
 from repro.cpu.phases import (
     PhaseDescriptor,
     gc_mark_profile,
@@ -26,6 +30,8 @@ from repro.cpu.regions import AddressSpace
 from repro.util.rng import RngFactory
 
 N_WINDOWS = 8
+#: The engines that run the stock core (the reference core has its own).
+STOCK_ENGINES = ("native", "fused")
 
 
 def _build(model_cls, seed):
@@ -42,41 +48,57 @@ def _build(model_cls, seed):
     )
 
 
+def _run_on(engine, core, windows):
+    set_default_engine(engine)
+    try:
+        return [core.execute_window(w) for w in windows]
+    finally:
+        set_default_engine(None)
+
+
 @pytest.fixture(scope="module", params=[42, 2007])
 def models(request):
+    """``(stock cores by engine, reference core, snapshots by engine)``."""
     seed = request.param
-    optimized = _build(CoreModel, seed)
+    cores = {engine: _build(CoreModel, seed) for engine in STOCK_ENGINES}
     reference = _build(ReferenceCoreModel, seed)
-    snaps = [
-        (optimized.execute_window(w), reference.execute_window(w))
-        for w in range(N_WINDOWS)
-    ]
-    return optimized, reference, snaps
+    snaps = {e: _run_on(e, core, range(N_WINDOWS)) for e, core in cores.items()}
+    snaps["reference"] = _run_on(None, reference, range(N_WINDOWS))
+    return cores, reference, snaps
 
 
 class TestSnapshotsIdentical:
     def test_every_window_bit_identical(self, models):
         _, _, snaps = models
-        for w, (opt, ref) in enumerate(snaps):
-            assert dict(opt.counts) == dict(ref.counts), f"window {w} diverged"
+        for engine in STOCK_ENGINES:
+            for w, (opt, ref) in enumerate(zip(snaps[engine], snaps["reference"])):
+                assert dict(opt.counts) == dict(ref.counts), (
+                    f"{engine} window {w} diverged"
+                )
 
     def test_nonzero_activity(self, models):
         """Guard against vacuous equality: the windows did real work."""
         _, _, snaps = models
-        total = sum(s.instructions for s, _ in snaps)
+        total = sum(s.instructions for s in snaps["reference"])
         assert total > 10_000
 
 
 class TestHardwareStateIdentical:
     def test_cache_stats(self, models):
-        optimized, reference, _ = models
-        for attr in ("l1i", "l1d"):
-            opt = getattr(optimized.memory, attr)
-            ref = getattr(reference.memory, attr)
-            assert (opt.hits, opt.misses) == (ref.hits, ref.misses)
+        cores, reference, _ = models
+        for optimized in cores.values():
+            for attr in ("l1i", "l1d"):
+                opt = getattr(optimized.memory, attr)
+                ref = getattr(reference.memory, attr)
+                assert (opt.hits, opt.misses) == (ref.hits, ref.misses)
 
     def test_translation_stats(self, models):
-        optimized, reference, _ = models
+        cores, reference, _ = models
+        for optimized in cores.values():
+            self._translation_stats(optimized, reference)
+
+    @staticmethod
+    def _translation_stats(optimized, reference):
         opt_t, ref_t = optimized.translation, reference.translation
         for erat in ("ierat", "derat"):
             opt_c = getattr(opt_t, erat).cache
@@ -96,11 +118,35 @@ class TestHardwareStateIdentical:
         )
 
     def test_prefetcher_state(self, models):
-        optimized, reference, _ = models
-        assert (
-            optimized.memory.prefetcher.active_streams
-            == reference.memory.prefetcher.active_streams
-        )
+        cores, reference, _ = models
+        for optimized in cores.values():
+            assert (
+                optimized.memory.prefetcher.active_streams
+                == reference.memory.prefetcher.active_streams
+            )
+
+    def test_native_state_written_back_exactly(self, models):
+        """What the C struct held between calls comes back unchanged:
+        after :func:`~repro.cpu.native.release` the native core's way
+        lists, predictor tables, prefetcher and backing RNG equal the
+        fused core's."""
+        cores = models[0]
+
+        def state(core):
+            m, t, b = core.memory, core.translation, core.branches
+            caches = (m.l1i, m.l1d, t.ierat.cache, t.derat.cache, t.tlb.cache)
+            return (
+                [c.sets for c in caches],
+                b.direction._table,
+                b.target._table,
+                dict(m.prefetcher._streams),
+                dict(m.prefetcher._runs),
+                dict(m._store_gather),
+                m.rng.getstate(),
+            )
+
+        native.release(cores["native"].memory)
+        assert state(cores["native"]) == state(cores["fused"])
 
 
 class TestInstrumentedWindowIdentical:

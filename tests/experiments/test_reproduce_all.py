@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cpu.engine import effective_engine
 from repro.experiments.reproduce_all import (
     CATALOG,
     SHARED_RUNS,
@@ -168,7 +169,7 @@ class TestStatsSchema:
         assert stats["resumed"] == []
         assert stats["pool_failures"] == 0
         assert stats["degraded"] is False
-        assert stats["engine"] == "fused"
+        assert (stats["engine"], stats["engine_reason"]) == effective_engine()
         assert "packed" not in stats
         entry = stats["per_experiment"]["fig03_gc"]
         assert entry["attempts"] == 1

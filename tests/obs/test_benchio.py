@@ -23,6 +23,8 @@ ENVELOPE_KEYS = {
     "recorded_at",
     "repetitions",
     "spread",
+    "engine",
+    "engine_reason",
 }
 
 
@@ -86,6 +88,13 @@ class TestReader:
         back = read_bench_payload(payload)
         assert back == payload
         assert back is not payload  # a copy, not an alias
+
+    def test_engine_stamp_defaults_to_fused_when_absent(self):
+        """Envelopes written before the engine stamp all ran fused."""
+        payload = bench_payload({"a": 1}, kind="k")
+        del payload["engine"], payload["engine_reason"]
+        back = read_bench_payload(payload)
+        assert (back["engine"], back["engine_reason"]) == ("fused", None)
 
     def test_schema_1_migrates_with_defaults(self):
         old = {"schema": 1, "kind": "k", "host": host_fingerprint(), "a": 1}

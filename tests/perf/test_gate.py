@@ -238,6 +238,14 @@ class TestDirtyBaselineHygiene:
         assert report.passed
         assert report.to_json_dict()["notes"] == report.notes
 
+    def test_other_engine_is_no_baseline(self):
+        """A native record never reads a fused baseline as a speedup."""
+        records = [record({"k": DOUBLED}, tag="v1"), record({"k": BASE}, tag="v2")]
+        records[0]["engine"], records[1]["engine"] = "fused", "native"
+        report = evaluate_gate(records)
+        assert report.skipped_reason
+        assert "native engine" in report.skipped_reason
+
     def test_clean_cross_host_beats_dirty_same_host(self):
         records = [
             record({"k": BASE}, host=OTHER_HOST, tag="ci"),

@@ -12,8 +12,10 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(scope="module")
 def profile():
-    # A fine interval so even a fast run collects a usable sample set.
-    return self_profile(windows=8, interval_s=0.001)
+    # A fine interval so even a fast run collects a usable sample set;
+    # 40 windows last ~0.1 s on the native engine (8 took 20 ms there,
+    # too few 1 ms ticks for the >= 10 samples asserted below).
+    return self_profile(windows=40, interval_s=0.001)
 
 
 class TestSelfProfile:
