@@ -16,7 +16,8 @@ sweep stats, the ``repro bench`` suite) goes through
 * ``"engine"`` / ``"engine_reason"`` — the window-execution engine
   that actually ran (:func:`repro.cpu.engine.effective_engine`) and
   why it is not the requested one, so a gate never judges a native
-  number against a fused baseline;
+  number against a generic-path baseline (or against the old,
+  since-removed ``fused`` engine's);
 * ``"repetitions"`` / ``"spread"`` — the best-of-N measurement
   policy: how many timing repetitions each kernel ran, and the
   per-kernel relative spread ``(max - min) / min`` of those
@@ -57,7 +58,7 @@ _SCHEMA_1_DEFAULTS: Dict[str, object] = {
     "spread": {},
 }
 #: Defaults for envelopes written before the engine stamp (every one
-#: of them ran the fused engine).
+#: of them ran the since-removed fused engine).
 _ENGINE_DEFAULTS: Dict[str, object] = {"engine": "fused", "engine_reason": None}
 
 

@@ -37,7 +37,7 @@ Commands::
 
 Every command accepts ``--scale quick|bench|full`` (default ``quick``)
 and ``--seed N``.  Simulation commands also accept
-``--engine native|fused|reference`` to pick the window-execution engine
+``--engine native|reference`` to pick the window-execution engine
 (see :mod:`repro.cpu.engine`).  ``characterize``, ``figure`` and
 ``reproduce-all`` also accept ``--trace-json FILE`` to run under an
 observability session and export the span trace plus a run manifest.
@@ -609,10 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="window-execution engine: native (default; the fused "
-        "kernel compiled to C, falling back to fused when it cannot "
-        "be built), fused, or reference (the pinned pre-optimization "
-        "core).  All three produce bit-identical output.  "
+        help="window-execution engine: native (default; the window "
+        "kernel compiled to C, falling back to the generic Python path "
+        "when it cannot be built) or reference (the pinned "
+        "pre-optimization core).  Both produce bit-identical output.  "
         "Also settable via $REPRO_ENGINE; the flag wins and is "
         "inherited by worker processes",
     )

@@ -226,7 +226,7 @@ class Characterization:
 
         :func:`repro.cpu.engine.core_model_class`: ``reference`` swaps
         in the pinned :class:`~repro.cpu.reference.ReferenceCoreModel`;
-        ``native`` and ``fused`` build the stock :class:`CoreModel`.  A
+        ``native`` builds the stock :class:`CoreModel`.  A
         subclass or test that rebinds :attr:`core_model_cls` bypasses
         the engine entirely.
         """

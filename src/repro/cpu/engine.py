@@ -1,19 +1,17 @@
 """Engine selection for the window-execution layer.
 
-Three engines execute sampling windows, all bit-identical:
+Two engines execute sampling windows, bit-identically:
 
-* ``native`` — the default: the fused kernel compiled to C
-  (:mod:`repro.cpu.native`, cffi + the system compiler).  It needs a
-  one-time build per host; when that is impossible (no cffi, no
-  compiler, no writable cache) or a slice cannot run in C (objprof
-  active, a subclassed or patched collaborator, a draw bound over 32
-  bits) the window runs on ``fused`` instead, and
+* ``native`` — the default: the window kernel compiled to C
+  (:mod:`repro.cpu.native`, cffi + the system compiler), objprof
+  attribution included.  It needs a one-time build per host; when that
+  is impossible (no cffi, no compiler, no writable cache) or a slice
+  cannot run in C (a subclassed or patched collaborator, a draw bound
+  over 32 bits) the window runs on the generic Python path of
+  :class:`~repro.cpu.stream.SliceRunner` instead, and
   :func:`effective_engine` / :data:`repro.cpu.native.DECLINED` say why;
-* ``fused`` — per-window Python stepping through
-  :class:`~repro.cpu.stream.SliceRunner`'s fused kernel (with the
-  guarded fallback to the generic path for subclassed components);
 * ``reference`` — :class:`~repro.cpu.reference.ReferenceCoreModel`,
-  the pinned specification; never fuses, always the generic path.
+  the pinned specification; always the generic path.
 
 The selection travels through the ``REPRO_ENGINE`` environment
 variable rather than through :class:`~repro.config.ExperimentConfig`:
@@ -31,7 +29,7 @@ import os
 from typing import Optional, Tuple
 
 #: Engines accepted by ``--engine`` and ``REPRO_ENGINE``.
-ENGINES: Tuple[str, ...] = ("native", "fused", "reference")
+ENGINES: Tuple[str, ...] = ("native", "reference")
 
 #: Environment variable carrying the session-wide engine choice.
 ENGINE_ENV = "REPRO_ENGINE"
@@ -74,8 +72,8 @@ def effective_engine() -> Tuple[str, Optional[str]]:
     """The engine windows run on, and why it is not the requested one.
 
     ``("native", None)`` when the compiled kernel is loaded, else
-    ``("fused", <reason>)`` for a ``native`` request; other requests
-    run as asked, with no reason.
+    ``("generic", <reason>)`` for a ``native`` request; ``reference``
+    runs as asked, with no reason.
     """
     requested = default_engine()
     if requested != "native":
@@ -83,7 +81,7 @@ def effective_engine() -> Tuple[str, Optional[str]]:
     from repro.cpu import native
 
     reason = native.load()
-    return ("native", None) if reason is None else ("fused", reason)
+    return ("native", None) if reason is None else ("generic", reason)
 
 
 def core_model_class():
@@ -91,7 +89,7 @@ def core_model_class():
 
     :class:`~repro.cpu.reference.ReferenceCoreModel` for ``reference``;
     the stock :class:`~repro.cpu.core_model.CoreModel` otherwise, whose
-    slice runner picks native or fused per slice.
+    slice runner picks native or the generic path per slice.
     """
     if default_engine() == "reference":
         from repro.cpu.reference import ReferenceCoreModel

@@ -1,12 +1,14 @@
 /* The compiled window kernel: SliceRunner._run_until_impl in C.
  *
- * A line-for-line port of the fused kernel in repro/cpu/stream.py.
+ * A port of SliceRunner._run_generic in repro/cpu/stream.py with the
+ * whole block pipeline inlined, objprof's site attribution included.
  * Every RNG draw happens in the same order with the same width, and
  * every float is added into the same accumulator in the same order,
- * so a window is bit-identical to the fused and reference engines.
- * Build with -O2 -ffp-contract=off (no FMA contraction), never with
- * -ffast-math (it reassociates floats) or -march=native (the build
- * cache key does not name the CPU).  The types live in native.h.
+ * so a window is bit-identical to the generic path and the reference
+ * engine.  Build with -O2 -ffp-contract=off (no FMA contraction),
+ * never with -ffast-math (it reassociates floats) or -march=native
+ * (the build cache key does not name the CPU).  The types live in
+ * native.h.
  */
 
 #include <math.h>
@@ -19,6 +21,13 @@ enum {
     K_LD_MISS, K_ST_REF, K_ST_MISS, K_L1_PREF, K_L2_PREF, K_STREAM_ALLOC,
     K_LARX, K_STCX, K_STCX_FAIL, K_SYNC_CNT, K_BR_CMPL, K_BR_MPRED_CR,
     K_BR_INDIRECT, K_BR_MPRED_TA, K_INST0, K_DATA0 = K_INST0 + 4
+};
+
+/* Objprof counter ordinals (one row of slice_t.prof per site);
+ * native.py maps them to ObjProfiler slots. */
+enum {
+    P_LD_MISS, P_ST_MISS, P_DERAT_MISS, P_DTLB_MISS, P_COVERED, P_DATA0,
+    P_N = P_DATA0 + 8
 };
 
 /* Hit/miss ordinals (slice_t.stats). */
@@ -204,7 +213,7 @@ static inline int32_t bisect_right(const double *a, int32_t n, double x)
     return lo;
 }
 
-/* The weighted draw over a cumulative list used by the fused kernel. */
+/* The weighted draw over a cumulative list (_memory_op, _pick_unit). */
 static inline int32_t draw(mt_t *r, const double *cum, int32_t n)
 {
     double x = rnd(r) * cum[n - 1];
@@ -230,6 +239,23 @@ static inline int direction(core_t *c, int64_t sid, int taken)
     else
         c->dir[idx] = (int8_t)(state > 0 ? state - 1 : 0);
     return (state >= 2) != taken;
+}
+
+/* ObjProfiler.charge: count one event against the site that owns
+ * the extent of data region ri holding offset off (bisect_right over
+ * the extents' ends). */
+static inline void charge(const slice_t *s, int32_t ri, int64_t off, int slot)
+{
+    const int64_t *b = s->ext_bound + s->ext_off[ri];
+    int32_t lo = 0, hi = s->ext_off[ri + 1] - s->ext_off[ri];
+    while (lo < hi) {
+        int32_t mid = (lo + hi) / 2;
+        if (off < b[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    s->prof[(int64_t)s->ext_site[s->ext_off[ri] + ri + lo] * P_N + slot]++;
 }
 
 /* ---- the kernel ------------------------------------------------- */
@@ -349,12 +375,16 @@ void run_slice(core_t *c, slice_t *s, double cycle_limit)
                 st[S_DERAT_M]++;
                 insert(&c->derat, g);
                 cnt[K_DERAT_MISS]++;
+                if (s->prof)
+                    charge(s, ri, addr - reg->base, P_DERAT_MISS);
                 int hit = access_(&c->tlb, addr / reg->page * 2 + (reg->page > 4096));
                 if (hit) {
                     st[S_TLB_DH]++;
                 } else {
                     st[S_TLB_DM]++;
                     cnt[K_DTLB_MISS]++;
+                    if (s->prof)
+                        charge(s, ri, addr - reg->base, P_DTLB_MISS);
                 }
                 cycles += s->derat_lat;
                 extra += s->derat_redisp;
@@ -374,6 +404,8 @@ void run_slice(core_t *c, slice_t *s, double cycle_limit)
                     access_(&c->l1d, db);
                     cnt[K_L1_PREF]++;
                     cnt[K_L2_PREF]++;
+                    if (s->prof)
+                        charge(s, ri, addr - reg->base, P_COVERED);
                     cycles += s->covered_lat;
                 } else if (lookup(&c->l1d, db)) {
                     st[S_L1D_H]++;
@@ -387,6 +419,10 @@ void run_slice(core_t *c, slice_t *s, double cycle_limit)
                     }
                     int src = pick(brng, reg);
                     cnt[K_DATA0 + src]++;
+                    if (s->prof) {
+                        charge(s, ri, addr - reg->base, P_LD_MISS);
+                        charge(s, ri, addr - reg->base, P_DATA0 + src);
+                    }
                     insert(&c->l1d, db);
                     cycles += s->data_pen[src];
                     if (src == s->l2_src)
@@ -410,6 +446,8 @@ void run_slice(core_t *c, slice_t *s, double cycle_limit)
                     } else {
                         st[S_L1D_M]++;
                         cnt[K_ST_MISS]++;
+                        if (s->prof)
+                            charge(s, ri, addr - reg->base, P_ST_MISS);
                         cycles += s->store_miss_lat;
                     }
                 }

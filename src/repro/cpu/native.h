@@ -66,7 +66,7 @@ typedef struct {
 
 /* One SliceRunner.run_until call: the profile, latencies and
  * module constants in, the runner/accountant state in and out, and
- * counter and hit/miss deltas out. */
+ * counter, hit/miss and objprof deltas out. */
 typedef struct {
     double mean_extra, inv_mean_extra, mem_per_instr, larx_per_instr,
         sync_per_instr, load_fraction, seq_load_fraction, seq_store_fraction,
@@ -97,6 +97,15 @@ typedef struct {
     int32_t *active;
     double *active_cum;
     int32_t n_active;
+
+    /* objprof site attribution; prof is NULL when no profiler is
+     * active.  Data region i's extents end at the region offsets
+     * ext_bound[ext_off[i] .. ext_off[i + 1]) (the last extent's end
+     * is the region's), and ext_site[ext_off[i] + i ...] names the
+     * site of each extent, one more than there are bounds.  prof holds
+     * one row of counters per site, in native.c's P_* order. */
+    int32_t *ext_off, *ext_site;
+    int64_t *ext_bound, *prof;
 
     int32_t unit;
     int64_t pos, fetched, completed;

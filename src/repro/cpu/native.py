@@ -1,10 +1,11 @@
-"""Engine ``native``: the fused window kernel compiled to C.
+"""Engine ``native``: the window kernel compiled to C.
 
 :func:`run` executes one :meth:`SliceRunner.run_until
-<repro.cpu.stream.SliceRunner.run_until>` call in ``native.c``, a
-line-for-line port of the fused kernel.  It draws the same RNG words
-and adds the same floats in the same order, so every window is
-bit-identical to the ``fused`` and ``reference`` engines.
+<repro.cpu.stream.SliceRunner.run_until>` call in ``native.c``, a port
+of the generic block pipeline with every step inlined, objprof's site
+attribution included.  It draws the same RNG words and adds the same
+floats in the same order, so every window is bit-identical to the
+generic path and the ``reference`` engine.
 
 Build
 -----
@@ -17,7 +18,7 @@ C source, the flags, the interpreter ABI and the cffi runtime version.  The buil
 file lock when this module is first imported; a warm cache only loads
 the shared object, which needs ``_cffi_backend`` but neither ``cffi``
 nor ``pycparser``.  When the compiler, cffi or a writable cache is
-missing, :data:`REASON` says why and windows run on ``fused``.
+missing, :data:`REASON` says why and windows run on the generic path.
 
 State across calls
 ------------------
@@ -27,11 +28,21 @@ more than the kernel itself, so per core (keyed by its
 lists of the L1I, L1D, IERAT, DERAT and TLB, both predictor tables and
 the ``cpu.backing`` RNG between native calls.  :func:`release` writes
 them back to the Python objects; the slice runner calls it before any
-window runs on another path (fused or generic), so the Python objects
-are current whenever Python code uses them.  Hit/miss statistics,
-counters, the prefetcher, the store-gather buffer, the locality state
-and the ``cpu.stream`` RNG (Python draws from it between slices) cross
-on every call.
+window runs on the generic path, so the Python objects are current
+whenever Python code uses them.  Hit/miss statistics, counters, the
+prefetcher, the store-gather buffer, the locality state, the objprof
+site counts and the ``cpu.stream`` RNG (Python draws from it between
+slices) cross on every call.
+
+Objprof
+-------
+When an :class:`~repro.obs.objprof.ObjProfiler` is active, each slice
+passes the profiler's extents of its data regions (sorted ends and
+the site of each extent) and a zeroed per-site counter table; C
+binary-searches the extents at the same six miss events the generic
+path charges, and :func:`run` adds the table into the profiler's rows.
+These are integer side counters only, so a profiled window stays
+bit-identical to an unprofiled one.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ from typing import Dict, Optional, Tuple
 from repro.cpu.engine import ENGINE_ENV
 from repro.cpu.sources import DataSource, InstSource
 from repro.hpm.events import EVENT_INDEX, Event
+from repro.obs import objprof as _objprof
 
 #: Compiler flags beyond the interpreter's own (they come last, so
 #: ``-O2`` wins over its ``-O3``).
@@ -65,7 +77,7 @@ FFI = None
 _NOT_LOADED = "not loaded yet"
 REASON: Optional[str] = _NOT_LOADED
 #: Reasons a slice declined the native kernel, with counts (this
-#: process only); such slices ran on ``fused``.
+#: process only); such slices ran on the generic path.
 DECLINED: "collections.Counter[str]" = collections.Counter()
 
 # Kernel counter ordinals (native.c's K_* enum) -> CounterBank slots.
@@ -83,6 +95,12 @@ _K_SLOTS = tuple(
     EVENT_INDEX[s.event] for s in DataSource
 )
 _N_COUNTS = len(_K_SLOTS)
+# Objprof ordinals (native.c's P_* enum) -> ObjProfiler row slots.
+_P_SLOTS = (
+    _objprof.SLOT_LD_MISS, _objprof.SLOT_ST_MISS, _objprof.SLOT_DERAT_MISS,
+    _objprof.SLOT_DTLB_MISS, _objprof.SLOT_COVERED,
+) + tuple(_objprof.SLOT_OF_SOURCE[s] for s in DataSource)
+_N_PROF = len(_P_SLOTS)
 _DATA_ORD = {s: i for i, s in enumerate(DataSource)}
 _INST_ORD = {s: i for i, s in enumerate(InstSource)}
 # Largest draw bound the C getrandbits handles (one 32-bit word).
@@ -139,7 +157,7 @@ def _ensure_built() -> Tuple[str, Path]:
     without a compiler pays for the attempt once, not on every import;
     delete the key's directory to try again.
     """
-    import fcntl  # POSIX; elsewhere the engine falls back to fused
+    import fcntl  # POSIX; elsewhere windows fall back to the generic path
 
     header, source = _sources()
     key = build_key(header, source)
@@ -412,7 +430,7 @@ class _Slice:
         ffi = FFI
         s = self.s = ffi.new("slice_t *")
         ffi.memmove(s, _template(runner.acct.lat), ffi.sizeof("slice_t"))
-        self.reason = None
+        self.reason = self.prof = None
         p = runner.profile
         mean_extra = p.block_mean - 1.0
         s.mean_extra = mean_extra
@@ -425,12 +443,12 @@ class _Slice:
         s.dwell_override = runner._dwell_override
 
         # Distinct data regions, by name (the locality state's key).
-        self.names = []
-        regs = []
+        self.names, self.regions = [], []
         for region in (*runner._load_regions, *runner._store_regions):
             if region.name not in self.names:
                 self.names.append(region.name)
-                regs.append(_region(region, inst=False))
+                self.regions.append(region)
+        regs = [_region(region, inst=False) for region in self.regions]
         code = _region(runner._code_region, inst=True)
         if code is None or None in regs or runner._dwell_override < 0:
             self.reason = "a region's draw bound or backing does not fit the kernel"
@@ -463,11 +481,37 @@ class _Slice:
         s.active, s.active_cum, s.n_active = self.active, self.active_cum, len(active)
         self.mt = ffi.cast("uint32_t *", ffi.addressof(s, "rng"))
 
+    def attach(self, prof) -> None:
+        """Charge ``prof``'s sites from now on (nothing, for None)."""
+        self.prof = prof
+        if prof is None:
+            self.s.prof = FFI.NULL
+            return
+        ffi = FFI
+        self.rows = list(prof.counts.values())
+        site = {id(row): i for i, row in enumerate(self.rows)}
+        off, sites, bounds = [0], [], []
+        for region in self.regions:
+            ends, rows = prof.extents(region)
+            bounds += ends
+            sites += [site[id(row)] for row in rows]
+            off.append(len(bounds))
+        self.ext = (
+            ffi.new("int32_t[]", off),
+            ffi.new("int32_t[]", sites),
+            ffi.new("int64_t[]", bounds or [0]),
+            ffi.new("int64_t[]", len(self.rows) * _N_PROF),
+        )
+        s = self.s
+        s.ext_off, s.ext_site, s.ext_bound, s.prof = self.ext
+        self.zeros = bytes(8 * len(self.rows) * _N_PROF)
+
 
 def run(runner, cycle_limit: float) -> bool:
     """Run ``runner.run_until(cycle_limit)`` in C; False if it declined.
 
-    A declined call changed nothing; the caller runs it on ``fused``.
+    A declined call changed nothing; the caller runs it on the generic
+    path.
     """
     sl = runner.__dict__.get("_native")
     if sl is None:
@@ -514,6 +558,11 @@ def run(runner, cycle_limit: float) -> bool:
     c.gather[0:len(gather)] = list(gather)
     ffi.memmove(s.counts, _ZEROS, 8 * _N_COUNTS)
     ffi.memmove(s.stats, _ZEROS, 8 * 12)
+    prof = _objprof._ACTIVE
+    if prof is not sl.prof:
+        sl.attach(prof)
+    if prof is not None:
+        ffi.memmove(s.prof, sl.zeros, len(sl.zeros))
 
     LIB.run_slice(c, s, cycle_limit)
 
@@ -537,6 +586,11 @@ def run(runner, cycle_limit: float) -> bool:
     for slot, n in zip(_K_SLOTS, ffi.unpack(s.counts, _N_COUNTS)):
         if n:
             data[slot] += n
+    if prof is not None:
+        rows = sl.rows
+        for k, n in enumerate(ffi.unpack(s.prof, len(rows) * _N_PROF)):
+            if n:
+                rows[k // _N_PROF][_P_SLOTS[k % _N_PROF]] += n
     st = ffi.unpack(s.stats, 12)
     l1i, l1d, ierat, derat, tlb_cache = core.objs[:5]
     l1i.hits += st[0]

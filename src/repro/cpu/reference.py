@@ -10,8 +10,8 @@ the structures that were rewritten as flat-array kernels in
 * enum-dict counter banks instead of slot-indexed flat lists;
 * freshly allocated translation/prefetch outcome objects instead of
   interned singletons;
-* the un-fused per-access call chain instead of the inlined kernel in
-  ``SliceRunner.run_until``.
+* the un-fused per-access call chain instead of the inlined C kernel
+  behind ``SliceRunner.run_until``.
 
 It exists for two reasons.  First, **equivalence**: the optimized
 kernels are required to be bit-identical to these — same RNG draw

@@ -24,37 +24,28 @@ in; no global state.
 Kernel structure
 ----------------
 :meth:`SliceRunner.run_until` is the simulator's single hottest loop —
-every modeled instruction, memory access and branch passes through it —
-so the whole per-block pipeline (I-fetch, translation, L1 probes,
-prefetch cover, branch resolution, cycle accounting) is inlined into
-one function body operating on locally-bound state:
+every modeled instruction, memory access and branch passes through it.
+Engine ``native`` (the default) runs it as one fused kernel in C
+(:mod:`repro.cpu.native`): the whole per-block pipeline (I-fetch,
+translation, L1 probes, prefetch cover, branch resolution, cycle
+accounting, objprof site attribution) inlined into one loop over the
+core's way lists and predictor tables.  Everywhere else — another
+engine, a failed build, a declined slice, a subclassed or patched
+collaborator — the slice runs :meth:`SliceRunner._run_generic`, the
+readable block pipeline below that drives the structures through
+their public methods.
 
-* cache probes run directly against the way lists of
-  :class:`repro.cpu.cache.SetAssociativeCache` (index 0 = victim, last
-  = MRU — the documented kernel layout);
-* counters are incremented by precomputed slot index into the bound
-  ``CounterBank.data`` list;
-* cycle/dispatch accumulators and cache hit/miss statistics live in
-  locals for the duration of the call and are flushed back to the
-  accountant and cache objects on exit.
-
-The float additions into the accountant's ``cycles`` happen in exactly
-the order the un-inlined implementation performs them, and the RNG is
-drawn in exactly the same sequence, so the kernel is bit-identical to
-the pinned reference in :mod:`repro.cpu.reference` — the equivalence
-is asserted by tests and by ``benchmarks/test_core_kernels.py``.
-
-Engine ``native`` (the default) runs this same kernel compiled to C
-(:mod:`repro.cpu.native`, a line-for-line port under the same rules);
-:meth:`SliceRunner._run_until_impl` picks it per slice and runs the
-Python kernel whenever the C one is unavailable or declines.
+Both paths draw the RNG in exactly the same sequence and add the same
+floats into the accountant's ``cycles`` in the same order, so they are
+bit-identical to each other and to the pinned reference in
+:mod:`repro.cpu.reference` — asserted by tests and by
+``benchmarks/test_core_kernels.py``.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from math import log as _log
 from typing import Dict, List, Tuple
 
 from repro.cpu import native as _native
@@ -66,10 +57,9 @@ from repro.cpu.phases import CodeUnit, PhaseProfile
 from repro.cpu.prefetch import StreamPrefetcher
 from repro.cpu.pipeline import PipelineAccountant
 from repro.cpu.regions import AddressSpace, Region
-from repro.cpu.sources import DataSource, InstSource
 from repro.cpu.translation import TranslationUnit
 from repro.hpm.counters import CounterBank
-from repro.hpm.events import EVENT_INDEX, Event
+from repro.hpm.events import Event
 from repro.obs import objprof as _objprof
 from repro.obs import runtime as _obs
 from repro.obs.trace import WALL
@@ -84,37 +74,12 @@ SEQ_STORE_STEP = 64
 #: "relatively little lock contention").
 STCX_FAIL_P = 0.015
 #: Mean scan-chunk length in accesses (see the scan branch of the
-#: address picker in ``run_until``).
+#: address picker in ``_data_address``).
 SCAN_CHUNK = 24.0
 _INV_SCAN_CHUNK = 1.0 / SCAN_CHUNK
 
-# Counter slot indices for every event this kernel touches.
-_IERAT_MISS = EVENT_INDEX[Event.PM_IERAT_MISS]
-_ITLB_MISS = EVENT_INDEX[Event.PM_ITLB_MISS]
-_DERAT_MISS = EVENT_INDEX[Event.PM_DERAT_MISS]
-_DTLB_MISS = EVENT_INDEX[Event.PM_DTLB_MISS]
-_LD_REF = EVENT_INDEX[Event.PM_LD_REF_L1]
-_LD_MISS = EVENT_INDEX[Event.PM_LD_MISS_L1]
-_ST_REF = EVENT_INDEX[Event.PM_ST_REF_L1]
-_ST_MISS = EVENT_INDEX[Event.PM_ST_MISS_L1]
-_L1_PREF = EVENT_INDEX[Event.PM_L1_PREF]
-_L2_PREF = EVENT_INDEX[Event.PM_L2_PREF]
-_STREAM_ALLOC = EVENT_INDEX[Event.PM_STREAM_ALLOC]
-_INST_FROM_L1 = EVENT_INDEX[Event.PM_INST_FROM_L1]
-_LARX = EVENT_INDEX[Event.PM_LARX]
-_STCX = EVENT_INDEX[Event.PM_STCX]
-_STCX_FAIL = EVENT_INDEX[Event.PM_STCX_FAIL]
-_SYNC_CNT = EVENT_INDEX[Event.PM_SYNC_CNT]
-_BR_CMPL = EVENT_INDEX[Event.PM_BR_CMPL]
-_BR_MPRED_CR = EVENT_INDEX[Event.PM_BR_MPRED_CR]
-_BR_INDIRECT = EVENT_INDEX[Event.PM_BR_INDIRECT]
-_BR_MPRED_TA = EVENT_INDEX[Event.PM_BR_MPRED_TA]
-# Source enum -> counter slot (folds the .event property lookup).
-_DATA_SLOT = {src: EVENT_INDEX[src.event] for src in DataSource}
-_INST_SLOT = {src: EVENT_INDEX[src.event] for src in InstSource}
-
 # Method names whose presence in an instance __dict__ means the object
-# has been instance-patched (e.g. a test spy) — the fused kernel would
+# has been instance-patched (e.g. a test spy) — the fused C kernel would
 # bypass the patch, so SliceRunner falls back to the generic path.
 _PATCHED_MEMORY_METHODS = frozenset({"load", "store", "fetch"})
 _PATCHED_TRANSLATION_METHODS = frozenset(
@@ -219,11 +184,12 @@ class SliceRunner:
     # Generic (un-fused) block pipeline
     # ------------------------------------------------------------------
     # These methods are the readable specification of what one block
-    # does, and the execution path whenever a collaborating structure
-    # is subclassed or instance-patched (tests spy on ``memory.load``,
-    # for example).  The fused kernel in :meth:`run_until` draws the
-    # RNG in the same sequence and adds the same floats in the same
-    # order, so both paths produce bit-identical windows.
+    # does, and the execution path whenever the C kernel does not run:
+    # another engine, no build, a declined slice, or a subclassed or
+    # instance-patched collaborator (tests spy on ``memory.load``, for
+    # example).  The C kernel draws the RNG in the same sequence and
+    # adds the same floats in the same order, so both paths produce
+    # bit-identical windows.
 
     def _fetch_block(self, n_instr: int) -> None:
         """Fetch the I-lines spanned by the next ``n_instr`` instructions."""
@@ -432,7 +398,7 @@ class SliceRunner:
     def _can_fuse(self) -> bool:
         """True when every collaborating structure is the stock class.
 
-        The fused kernel reaches past the public methods into the way
+        The fused C kernel reaches past the public methods into the way
         lists, counter slots and predictor tables, so it is only valid
         when nothing has been subclassed or instance-patched; any
         override falls back to :meth:`_run_generic`, which produces
@@ -494,576 +460,16 @@ class SliceRunner:
     def _run_until_impl(self, cycle_limit: float) -> None:
         """The real main loop behind :meth:`run_until`.
 
-        Dispatches to the compiled kernel (engine ``native``) or the
-        fused kernel below, where the whole block pipeline is inlined;
-        see the module docstring for the kernel contract.  Every RNG
-        draw and every float addition into ``cycles`` happens in the
-        same order, with the same values, as :meth:`_run_generic` and
-        the pinned reference implementation.
+        Runs the slice in C (engine ``native``) when the kernel is
+        loaded and accepts it; otherwise takes the core's state back
+        from C and runs :meth:`_run_generic`.  Both draw every RNG word
+        and add every float into ``cycles`` in the same order, with the
+        same values, as the pinned reference implementation.
         """
-        # Every path but native first takes the core's state back from C.
-        native = default_engine() == "native" and _native.load() is None
-        if not self._can_fuse():
-            if native:
+        if default_engine() == "native" and _native.load() is None:
+            if not self._can_fuse():
                 _native.DECLINED["a collaborator is subclassed or patched"] += 1
-            _native.release(self.memory)
-            self._run_generic(cycle_limit)
-            return
-        if native:
-            if _objprof._ACTIVE is not None:
-                _native.DECLINED["objprof is active"] += 1
             elif _native.run(self, cycle_limit):
                 return
         _native.release(self.memory)
-        # --- RNG and profile scalars --------------------------------
-        rng = self.rng
-        rnd = rng.random
-        # randrange/randint/expovariate are inlined at their call
-        # sites below — cloning CPython's _randbelow_with_getrandbits
-        # and expovariate exactly, so the draw sequence (and every
-        # getrandbits width) is bit-identical to calling the methods.
-        getrandbits = rng.getrandbits
-        log = _log
-        profile = self.profile
-        mean_extra = profile.block_mean - 1.0
-        inv_mean_extra = 1.0 / mean_extra if mean_extra > 0.0 else 0.0
-        mem_per_instr = profile.mem_per_instr
-        larx_per_instr = profile.larx_per_instr
-        sync_per_instr = profile.sync_per_instr
-        load_fraction = profile.load_fraction
-        seq_load_fraction = profile.seq_load_fraction
-        seq_store_fraction = profile.seq_store_fraction
-        call_frac = profile.call_fraction
-        ind_frac = profile.indirect_fraction
-        hard_frac = profile.hard_branch_fraction
-
-        # --- counters and cycle accounting --------------------------
-        counts = self.bank.data
-        acct = self.acct
-        lat = acct.lat
-        base_cpi = lat.base_cpi
-        ierat_lat = lat.ierat_miss
-        derat_lat = lat.derat_miss
-        tlb_lat = lat.tlb_miss
-        derat_redisp = lat.derat_redispatch
-        covered_lat = lat.covered_prefetch
-        alloc_lat = lat.stream_alloc
-        store_miss_lat = lat.store_miss
-        stcx_lat = lat.stcx_fail
-        sync_lat = lat.sync
-        sync_srq_lat = lat.sync_srq_cycles
-        br_lat = lat.branch_mispredict
-        ta_lat = lat.target_mispredict
-        flush_w = lat.flush_width
-        l2_redisp = lat.l2_miss_redispatch
-        # Exposed penalty per data source, mirroring the accountant's
-        # charge_load if-chain (anything unlisted costs a memory trip).
-        load_pen = {
-            DataSource.L2: lat.data_from_l2,
-            DataSource.L25_SHR: lat.data_from_l25,
-            DataSource.L25_MOD: lat.data_from_l25,
-            DataSource.L275_SHR: lat.data_from_l275,
-            DataSource.L275_MOD: lat.data_from_l275,
-            DataSource.L3: lat.data_from_l3,
-            DataSource.L35: lat.data_from_l35,
-            DataSource.MEM: lat.data_from_mem,
-        }
-        inst_pen = {
-            InstSource.L1: 0.0,
-            InstSource.L2: lat.inst_from_l2,
-            InstSource.L3: lat.inst_from_l3,
-            InstSource.MEM: lat.inst_from_mem,
-        }
-        DS_L2 = DataSource.L2
-
-        cycles = acct.cycles
-        completed = acct.completed
-        extra = acct._extra_dispatch
-        srq = acct._sync_srq_cycles
-
-        # --- memory-system structures -------------------------------
-        memory = self.memory
-        l1i = memory.l1i
-        l1i_sets = l1i.sets
-        l1i_nsets = l1i.n_sets
-        l1i_assoc = l1i.associativity
-        l1i_lru = l1i.lru
-        l1d = memory.l1d
-        l1d_sets = l1d.sets
-        l1d_nsets = l1d.n_sets
-        l1d_assoc = l1d.associativity
-        l1d_lru = l1d.lru
-        iline_bytes = memory.machine.l1i.line_bytes
-        dline = memory.machine.l1d.line_bytes
-        streams = memory.prefetcher._streams
-        on_miss = memory.prefetcher.on_miss
-        gather = memory._store_gather
-        # Beyond-L1 source classification draws from the memory
-        # system's own backing RNG stream, not the instruction stream.
-        backing_rng = memory.rng
-        l1i_h = l1i_m = l1d_h = l1d_m = 0
-
-        # --- object-centric attribution (repro.obs.objprof) ---------
-        # Charges data-side miss events to allocation-site extents.
-        # Pure side counters: no RNG draws, no float accumulation, so
-        # a profiled run stays bit-identical to an unprofiled one.
-        prof = _objprof._ACTIVE
-        prof_charge = prof.charge if prof is not None else None
-        P_LD_MISS = _objprof.SLOT_LD_MISS
-        P_ST_MISS = _objprof.SLOT_ST_MISS
-        P_DERAT = _objprof.SLOT_DERAT_MISS
-        P_DTLB = _objprof.SLOT_DTLB_MISS
-        P_COVERED = _objprof.SLOT_COVERED
-        P_SOURCE = _objprof.SLOT_OF_SOURCE
-
-        # --- translation structures (ERATs are LRU by construction) -
-        trans = self.translation
-        derat = trans.derat.cache
-        derat_sets = derat.sets
-        derat_nsets = derat.n_sets
-        derat_assoc = derat.associativity
-        derat_granule = trans.derat.granule_bytes
-        ierat = trans.ierat.cache
-        ierat_sets = ierat.sets
-        ierat_nsets = ierat.n_sets
-        ierat_assoc = ierat.associativity
-        ierat_granule = trans.ierat.granule_bytes
-        tlb = trans.tlb
-        tlb_access = tlb.cache.access
-        derat_h = derat_m = ierat_h = ierat_m = 0
-        tlb_dh = tlb_dm = tlb_ih = tlb_im = 0
-
-        # --- code side ----------------------------------------------
-        code_region = self._code_region
-        code_page = code_region.page_bytes
-        code_flag = 1 if code_page > 4096 else 0
-        pick_inst = code_region.pick_inst_source
-        dir_pred = self.branches.direction
-        dir_table = dir_pred._table
-        dir_entries = dir_pred.entries
-        tgt_pred = self.branches.target
-        tgt_table = tgt_pred._table
-        tgt_entries = tgt_pred.entries
-        active = self._active
-        active_cum = self._active_cum
-        acum_last = active_cum[-1]
-        n_active_m1 = len(active) - 1
-        unit = self._unit
-        unit_base = unit.base
-        unit_end = unit.end
-        cond_sites = unit.cond_sites
-        ind_sites = unit.ind_sites
-        pos = self._pos
-        fetched = self._fetched_line
-
-        # --- data side ----------------------------------------------
-        load_regions = self._load_regions
-        load_cum = self._load_cum
-        n_load_m1 = len(load_regions) - 1
-        store_regions = self._store_regions
-        store_cum = self._store_cum
-        n_store_m1 = len(store_regions) - 1
-        granule_d = self._granule
-        seq_ptr_d = self._seq_ptr
-        dwell_p = self._dwell_p
-        dwell_override = self._dwell_override
-
-        while cycles < cycle_limit:
-            # ---- block length --------------------------------------
-            if mean_extra > 0.0:
-                # expovariate inlined (same floats: -log(1-u)/lambd).
-                k = int(-log(1.0 - rnd()) / inv_mean_extra)
-                k = 1 + (k if k < 64 else 64)
-            else:
-                k = 1
-
-            # ---- instruction fetch: the I-lines the block spans ----
-            end = pos + k * INSTR_BYTES
-            line = pos // iline_bytes
-            last_line = (end - 1) // iline_bytes
-            if line == fetched:
-                # Straight-line continuation: the first line was
-                # fetched by the previous block.
-                line += 1
-            while line <= last_line:
-                addr = line * iline_bytes
-                # I-side translation: IERAT, then the unified TLB.
-                g = addr // ierat_granule
-                ways = ierat_sets[g % ierat_nsets]
-                if g in ways:
-                    ierat_h += 1
-                    if ways[-1] != g:
-                        ways.remove(g)
-                        ways.append(g)
-                else:
-                    ierat_m += 1
-                    if len(ways) >= ierat_assoc:
-                        del ways[0]
-                    ways.append(g)
-                    counts[_IERAT_MISS] += 1
-                    hit = tlb_access(addr // code_page * 2 + code_flag)
-                    if hit:
-                        tlb_ih += 1
-                    else:
-                        tlb_im += 1
-                        counts[_ITLB_MISS] += 1
-                    cycles += ierat_lat
-                    if not hit:
-                        cycles += tlb_lat
-                # L1I probe.
-                ways = l1i_sets[line % l1i_nsets]
-                if line in ways:
-                    l1i_h += 1
-                    if l1i_lru and ways[-1] != line:
-                        ways.remove(line)
-                        ways.append(line)
-                    counts[_INST_FROM_L1] += 1
-                else:
-                    l1i_m += 1
-                    source = pick_inst(backing_rng)
-                    counts[_INST_SLOT[source]] += 1
-                    if len(ways) >= l1i_assoc:
-                        del ways[0]
-                    ways.append(line)
-                    cycles += inst_pen[source]
-                fetched = line
-                line += 1
-            pos = end
-
-            # ---- completion at the stall-free rate -----------------
-            completed += k
-            cycles += k * base_cpi
-
-            # ---- memory operations ---------------------------------
-            e = k * mem_per_instr
-            n_mem = int(e)
-            if rnd() < e - n_mem:
-                n_mem += 1
-            for _ in range(n_mem):
-                is_load = rnd() < load_fraction
-                if is_load:
-                    regions = load_regions
-                    cum = load_cum
-                    hi = n_load_m1
-                    seq_fraction = seq_load_fraction
-                    step = SEQ_LOAD_STEP
-                else:
-                    regions = store_regions
-                    cum = store_cum
-                    hi = n_store_m1
-                    seq_fraction = seq_store_fraction
-                    step = SEQ_STORE_STEP
-                x = rnd() * cum[-1]
-                lo = 0
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cum[mid] <= x:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                region = regions[lo]
-
-                # Address: scan, dwell, or fresh draw (in that order).
-                # Scans advance a per-region sequential pointer (table
-                # scans, copies, the allocation frontier) and feed the
-                # stream prefetcher; non-scan accesses mostly dwell in
-                # the region's current locality neighborhood.
-                if rnd() < seq_fraction * region.scan_affinity:
-                    name = region.name
-                    ptr = seq_ptr_d.get(name)
-                    # Scans run in chunks: a real scan is interrupted
-                    # (next row batch, next object) every ~SCAN_CHUNK
-                    # accesses and resumes elsewhere, so every burst
-                    # pays its own stream allocation and leading
-                    # misses.
-                    if ptr is None or rnd() < _INV_SCAN_CHUNK:
-                        # randrange(n_pages) inlined (CPython's
-                        # _randbelow_with_getrandbits, bit-identical).
-                        n = region.n_pages
-                        nb = n.bit_length()
-                        r = getrandbits(nb)
-                        while r >= n:
-                            r = getrandbits(nb)
-                        ptr = region.base + r * region.page_bytes
-                    addr = ptr
-                    ptr += step
-                    if ptr >= region.end:
-                        ptr = region.base
-                    seq_ptr_d[name] = ptr
-                else:
-                    span = region.dwell_span
-                    if dwell_override:
-                        # A phase override widens bulk regions'
-                        # locality (GC walks objects, not pages) but
-                        # never spreads tight regions.
-                        if span > 512 and dwell_override < span:
-                            span = dwell_override
-                    addr = None
-                    if rnd() < dwell_p:
-                        granule = granule_d.get(region.name)
-                        if granule is not None:
-                            n = region.end - granule
-                            if span < n:
-                                n = span
-                            nb = n.bit_length()
-                            r = getrandbits(nb)
-                            while r >= n:
-                                r = getrandbits(nb)
-                            addr = granule + r
-                    if addr is None:
-                        n = region.size_bytes
-                        nb = n.bit_length()
-                        r = getrandbits(nb)
-                        while r >= n:
-                            r = getrandbits(nb)
-                        addr = region.base + r
-                        granule = (addr // span) * span
-                        base = region.base
-                        granule_d[region.name] = granule if granule > base else base
-
-                # D-side translation: DERAT, then the unified TLB.
-                g = addr // derat_granule
-                ways = derat_sets[g % derat_nsets]
-                if g in ways:
-                    derat_h += 1
-                    if ways[-1] != g:
-                        ways.remove(g)
-                        ways.append(g)
-                else:
-                    derat_m += 1
-                    if len(ways) >= derat_assoc:
-                        del ways[0]
-                    ways.append(g)
-                    counts[_DERAT_MISS] += 1
-                    if prof_charge is not None:
-                        prof_charge(region, addr, P_DERAT)
-                    page = region.page_bytes
-                    hit = tlb_access(addr // page * 2 + (1 if page > 4096 else 0))
-                    if hit:
-                        tlb_dh += 1
-                    else:
-                        tlb_dm += 1
-                        counts[_DTLB_MISS] += 1
-                        if prof_charge is not None:
-                            prof_charge(region, addr, P_DTLB)
-                    cycles += derat_lat
-                    extra += derat_redisp
-                    if not hit:
-                        cycles += tlb_lat
-
-                dblock = addr // dline
-                if is_load:
-                    counts[_LD_REF] += 1
-                    if dblock in streams:
-                        # Prefetch-covered: behaves like an L1 hit;
-                        # the stream advances and stays most-recent.
-                        del streams[dblock]
-                        streams[dblock + 1] = None
-                        ways = l1d_sets[dblock % l1d_nsets]
-                        if dblock in ways:
-                            if l1d_lru and ways[-1] != dblock:
-                                ways.remove(dblock)
-                                ways.append(dblock)
-                        else:
-                            if len(ways) >= l1d_assoc:
-                                del ways[0]
-                            ways.append(dblock)
-                        counts[_L1_PREF] += 1
-                        counts[_L2_PREF] += 1
-                        if prof_charge is not None:
-                            prof_charge(region, addr, P_COVERED)
-                        cycles += covered_lat
-                    else:
-                        ways = l1d_sets[dblock % l1d_nsets]
-                        if dblock in ways:
-                            l1d_h += 1
-                            if l1d_lru and ways[-1] != dblock:
-                                ways.remove(dblock)
-                                ways.append(dblock)
-                        else:
-                            l1d_m += 1
-                            counts[_LD_MISS] += 1
-                            outcome = on_miss(dblock)
-                            allocated = outcome.allocated
-                            if allocated:
-                                counts[_STREAM_ALLOC] += 1
-                                counts[_L2_PREF] += outcome.l2_prefetches
-                            source = region.pick_source(backing_rng)
-                            counts[_DATA_SLOT[source]] += 1
-                            if prof_charge is not None:
-                                prof_charge(region, addr, P_LD_MISS)
-                                prof_charge(region, addr, P_SOURCE[source])
-                            if len(ways) >= l1d_assoc:
-                                del ways[0]
-                            ways.append(dblock)
-                            cycles += load_pen[source]
-                            if source is DS_L2:
-                                extra += l2_redisp
-                            if allocated:
-                                cycles += alloc_lat
-                else:
-                    # Write-through, non-allocating store path with
-                    # an 8-entry store-gather (SRQ merge) buffer.
-                    counts[_ST_REF] += 1
-                    if dblock in gather:
-                        del gather[dblock]
-                        gather[dblock] = None
-                    else:
-                        gather[dblock] = None
-                        if len(gather) > 8:
-                            del gather[next(iter(gather))]
-                        ways = l1d_sets[dblock % l1d_nsets]
-                        if dblock in ways:
-                            l1d_h += 1
-                            if l1d_lru and ways[-1] != dblock:
-                                ways.remove(dblock)
-                                ways.append(dblock)
-                        else:
-                            l1d_m += 1
-                            counts[_ST_MISS] += 1
-                            if prof_charge is not None:
-                                prof_charge(region, addr, P_ST_MISS)
-                            cycles += store_miss_lat
-
-            # ---- LARX/STCX pairs -----------------------------------
-            e = k * larx_per_instr
-            n = int(e)
-            if rnd() < e - n:
-                n += 1
-            if n:
-                counts[_LARX] += n
-                counts[_STCX] += n
-                for _ in range(n):
-                    if rnd() < STCX_FAIL_P:
-                        counts[_STCX_FAIL] += 1
-                        cycles += stcx_lat
-
-            # ---- SYNCs ---------------------------------------------
-            e = k * sync_per_instr
-            n = int(e)
-            if rnd() < e - n:
-                n += 1
-            if n:
-                counts[_SYNC_CNT] += n
-                for _ in range(n):
-                    cycles += sync_lat
-                    srq += sync_srq_lat
-
-            # ---- end-of-block branch -------------------------------
-            counts[_BR_CMPL] += 1
-            switch = False
-            if hard_frac and rnd() < hard_frac:
-                # A data-dependent branch: effectively unpredictable.
-                sid = cond_sites[0][0] ^ 0x5A5A5A5A
-                taken = rnd() < 0.5
-                idx = sid % dir_entries
-                state = dir_table[idx]
-                if taken:
-                    dir_table[idx] = state + 1 if state < 3 else 3
-                else:
-                    dir_table[idx] = state - 1 if state > 0 else 0
-                if (state >= 2) != taken:
-                    counts[_BR_MPRED_CR] += 1
-                    cycles += br_lat
-                    extra += flush_w
-                if taken:
-                    # randint(2, 20) inlined: 2 + _randbelow(19).
-                    r = getrandbits(5)
-                    while r >= 19:
-                        r = getrandbits(5)
-                    pos += INSTR_BYTES * (2 + r)
-                    fetched = -1
-                # Common control-transfer tail so that hard-branch
-                # density does not perturb code-footprint churn.
-                switch = rnd() < call_frac or pos >= unit_end
-            elif ind_sites and rnd() < ind_frac:
-                n = len(ind_sites)
-                nb = n.bit_length()
-                r = getrandbits(nb)
-                while r >= n:
-                    r = getrandbits(nb)
-                site = ind_sites[r]
-                target = site.pick_target(rng)
-                counts[_BR_INDIRECT] += 1
-                idx = site.sid % tgt_entries
-                if tgt_table[idx] != target:
-                    counts[_BR_MPRED_TA] += 1
-                    cycles += ta_lat
-                    extra += flush_w
-                tgt_table[idx] = target
-                # Virtual dispatch usually transfers to another method.
-                switch = rnd() < 0.6
-            else:
-                n = len(cond_sites)
-                nb = n.bit_length()
-                r = getrandbits(nb)
-                while r >= n:
-                    r = getrandbits(nb)
-                sid, bias = cond_sites[r]
-                taken = rnd() < bias
-                idx = sid % dir_entries
-                state = dir_table[idx]
-                if taken:
-                    dir_table[idx] = state + 1 if state < 3 else 3
-                else:
-                    dir_table[idx] = state - 1 if state > 0 else 0
-                if (state >= 2) != taken:
-                    counts[_BR_MPRED_CR] += 1
-                    cycles += br_lat
-                    extra += flush_w
-                if taken:
-                    if rnd() < 0.85:
-                        # Loop back a few block lengths
-                        # (randint(1, 3) inlined: 1 + _randbelow(3)).
-                        r = getrandbits(2)
-                        while r >= 3:
-                            r = getrandbits(2)
-                        npos = pos - k * INSTR_BYTES * (1 + r)
-                        pos = unit_base if npos < unit_base else npos
-                    else:
-                        # randint(4, 40) inlined: 4 + _randbelow(37).
-                        r = getrandbits(6)
-                        while r >= 37:
-                            r = getrandbits(6)
-                        pos += INSTR_BYTES * (4 + r)
-                    fetched = -1
-                switch = rnd() < call_frac or pos >= unit_end
-            if switch:
-                # Weighted draw of the next active unit.
-                x = rnd() * acum_last
-                lo = 0
-                hi = n_active_m1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if active_cum[mid] <= x:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                unit = active[lo]
-                unit_base = unit.base
-                unit_end = unit.end
-                cond_sites = unit.cond_sites
-                ind_sites = unit.ind_sites
-                pos = unit_base
-                fetched = -1
-
-        # ---- flush locals back to the shared structures ------------
-        acct.cycles = cycles
-        acct.completed = completed
-        acct._extra_dispatch = extra
-        acct._sync_srq_cycles = srq
-        l1i.hits += l1i_h
-        l1i.misses += l1i_m
-        l1d.hits += l1d_h
-        l1d.misses += l1d_m
-        derat.hits += derat_h
-        derat.misses += derat_m
-        ierat.hits += ierat_h
-        ierat.misses += ierat_m
-        tlb.data_hits += tlb_dh
-        tlb.data_misses += tlb_dm
-        tlb.inst_hits += tlb_ih
-        tlb.inst_misses += tlb_im
-        self._unit = unit
-        self._pos = pos
-        self._fetched_line = fetched
+        self._run_generic(cycle_limit)

@@ -251,12 +251,12 @@ class ReproduceAllResult:
     #: survived; ``degraded`` is True if it fell back to serial.
     pool_failures: int = 0
     degraded: bool = False
-    #: Window-execution engine the sweep ran on (native/fused/
+    #: Window-execution engine the sweep ran on (native/generic/
     #: reference: the effective one, after any native fallback), and
     #: why it is not ``native`` when that was requested.  Only
-    #: ``reference`` is named in the summary head: native and fused
+    #: ``reference`` is named in the summary head: native and generic
     #: reports are the same bytes.
-    engine: str = "fused"
+    engine: str = "native"
     engine_reason: Optional[str] = None
 
     @property
@@ -379,7 +379,8 @@ def load_stats_dict(doc: Dict[str, Any]) -> Dict[str, Any]:
 
     Schema-4 documents pass through (copied).  Schema 3 loses its
     packed-sweep accounting keys; schema 2 (supervised pool, from
-    before engine selection) gains the ``engine`` default.
+    before engine selection) gains the ``engine`` it ran on, the
+    since-removed ``fused``.
     Pre-supervisor documents (no ``schema`` key) additionally gain
     ``resumed``/``pool_failures``/``degraded`` defaults and
     per-experiment ``attempts=1``, ``retries=0``, ``timed_out=0``.

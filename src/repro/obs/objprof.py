@@ -14,9 +14,11 @@ module is that layer for the simulation:
   lifetime classes;
 * **address→site attribution**: every heap data region is partitioned
   into contiguous per-site extents (largest-remainder byte split, so
-  extent sizes sum exactly to the region size), and the instruction
-  stream kernels charge each L1D/ERAT/TLB miss event to the owning
-  site by a bisect over the extent boundaries;
+  extent sizes sum exactly to the region size), and the window
+  kernels charge each L1D/ERAT/TLB miss event to the owning site by a
+  bisect over the extent boundaries (the generic path through
+  :meth:`ObjProfiler.charge`, the compiled kernel over the same
+  boundaries from :meth:`ObjProfiler.extents`);
 * **byte accounting**: a :class:`SiteLedger` attached to each
   :class:`~repro.jvm.heap.FlatHeap` splits every allocation, sweep and
   compaction across sites with the same largest-remainder rule, so the
@@ -452,9 +454,9 @@ def _lifetime_bucket(lifetime_s: float) -> int:
 class ObjProfiler:
     """One object-centric profiling session.
 
-    Hot-path contract: :meth:`charge` is called from the stream
-    kernels at miss events only, does two dict lookups, one bisect and
-    one integer increment, and **never** touches an RNG.
+    Hot-path contract: :meth:`charge` is called from the generic
+    window path at miss events only, does one dict lookup, one bisect
+    and one integer increment, and **never** touches an RNG.
     """
 
     def __init__(self, catalog: Optional[Sequence[SiteClass]] = None):
@@ -512,22 +514,24 @@ class ObjProfiler:
         bounds.pop()  # last boundary == region size; bisect covers it
         return (region, bounds, rows)
 
-    def charge(self, region: Region, addr: int, slot: int) -> None:
-        """Charge one miss event at ``addr`` to the owning site."""
+    def extents(self, region: Region) -> Tuple[List[int], List[List[int]]]:
+        """``region``'s extents: their ends as offsets into the region
+        (the last one, the region's size, left out) and the count row
+        of the site owning each; the compiled kernel searches these."""
         ext = self._extents.get(region.name)
         if ext is None or ext[0] is not region:
             ext = self._build_extents(region)
             self._extents[region.name] = ext
-        _, bounds, rows = ext
+        return ext[1], ext[2]
+
+    def charge(self, region: Region, addr: int, slot: int) -> None:
+        """Charge one miss event at ``addr`` to the owning site."""
+        bounds, rows = self.extents(region)
         rows[bisect_right(bounds, addr - region.base)][slot] += 1
 
     def site_of(self, region: Region, addr: int) -> SiteClass:
         """The site an address belongs to (report/debug path)."""
-        ext = self._extents.get(region.name)
-        if ext is None or ext[0] is not region:
-            ext = self._build_extents(region)
-            self._extents[region.name] = ext
-        _, bounds, rows = ext
+        bounds, rows = self.extents(region)
         row = rows[bisect_right(bounds, addr - region.base)]
         for name, counts in self.counts.items():
             if counts is row:

@@ -1,7 +1,7 @@
 """The best-of-N kernel benchmark suite behind ``repro bench``.
 
 Times the same hot kernels as ``benchmarks/test_core_kernels.py`` —
-window execution through the fused ``SliceRunner.run_until`` pipeline,
+window execution through ``SliceRunner.run_until`` on the session engine,
 the array-backed cache, the slot-indexed counter bank — plus the
 workload tick loop (``SystemUnderTest.run``), as plain absolute
 timings suitable for a *trajectory*: every kernel runs N repetitions

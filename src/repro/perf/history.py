@@ -102,7 +102,8 @@ def latest_pair(
     valid pair exists (fewer than two records, or no acceptable
     predecessor).  The baseline always ran the latest record's
     window-execution engine (the envelope's ``engine`` stamp): a
-    native number is never judged against a fused one.
+    native number is never judged against a generic or an old fused
+    one.
     """
     if len(records) < 2:
         return None

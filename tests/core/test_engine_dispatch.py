@@ -1,11 +1,12 @@
-"""Engine selection: the registry and its one contract, native ≡ fused ≡ reference.
+"""Engine selection: the registry and its one contract, native ≡ reference.
 
 The window-execution engine (:mod:`repro.cpu.engine`) travels through
 ``$REPRO_ENGINE``: ``reference`` swaps the pinned core into the
-characterization, ``native`` and ``fused`` keep the stock core (whose
-slice runner runs the kernel in C or in Python).  All three must agree
-bit for bit — per window (``tests/cpu/test_reference_equivalence.py``)
-and, pinned here, for a whole rendered study.
+characterization, ``native`` keeps the stock core (whose slice runner
+runs the kernel in C, or the generic Python path when C is
+unavailable).  Both must agree bit for bit — per window
+(``tests/cpu/test_reference_equivalence.py``) and, pinned here, for a
+whole rendered study.
 """
 
 import pytest
@@ -42,8 +43,8 @@ class TestEngineRegistry:
     def test_resolve_normalizes_and_validates(self):
         assert resolve_engine(None) == "native"
         assert resolve_engine(" Reference ") == "reference"
-        for bad in ("turbo", "vector"):
-            with pytest.raises(ValueError, match="native, fused, reference"):
+        for bad in ("turbo", "vector", "fused"):
+            with pytest.raises(ValueError, match="native, reference"):
                 resolve_engine(bad)
 
     def test_env_round_trip(self):
@@ -55,12 +56,11 @@ class TestEngineRegistry:
 
     def test_effective_engine(self):
         expected = ("native", None) if native.LIB is not None else (
-            "fused", native.REASON
+            "generic", native.REASON
         )
         assert effective_engine() == expected
-        for engine in ("fused", "reference"):
-            set_default_engine(engine)
-            assert effective_engine() == (engine, None)
+        set_default_engine("reference")
+        assert effective_engine() == ("reference", None)
 
 
 class _Built(Exception):
@@ -73,7 +73,7 @@ class TestCoreResolution:
         study = Characterization(quick_config())
         assert type(study.core) is ReferenceCoreModel
 
-    def test_fused_engine_builds_stock_core(self):
+    def test_native_engine_builds_stock_core(self):
         study = Characterization(quick_config())
         assert type(study.core) is CoreModel
 
@@ -88,7 +88,7 @@ class TestCoreResolution:
             ReferenceCoreModel
         )
 
-    @pytest.mark.parametrize("engine", ["reference", "fused", "native"])
+    @pytest.mark.parametrize("engine", ["reference", "native"])
     def test_every_core_builder_follows_the_engine(self, engine, monkeypatch):
         """Every site that builds a core takes its class from the engine."""
         set_default_engine(engine)
@@ -107,7 +107,7 @@ class TestCoreResolution:
             assert built.value.args[0] is expected
 
 
-def test_reference_report_is_byte_identical_to_fused():
+def test_reference_report_is_byte_identical_to_native():
     """The registry's promise at report level: the same study, rendered
     under any engine, is the same text — hardware summary, Figure 10
     correlations and derived findings included."""
@@ -121,4 +121,4 @@ def test_reference_report_is_byte_identical_to_fused():
         report = study.run(hw_windows=12, correlation_windows_per_group=4)
         return render_report(report)
 
-    assert rendered("reference") == rendered("fused") == rendered("native")
+    assert rendered("reference") == rendered("native")

@@ -93,8 +93,8 @@ class TestMemoryTier:
         assert plain.responses != forked.responses
 
     def test_put_seeds_the_memory_tier(self, tmp_path):
-        # The batch planner scatters worker-computed results back into
-        # the parent cache; the next get_or_run must be a pure hit.
+        # A result computed elsewhere seeds the cache; the next
+        # get_or_run must be a pure hit.
         cfg = small_config()
         result = RunCache().get_or_run(cfg, rng_fork="workload")
         cache = RunCache(disk_dir=tmp_path)

@@ -1,15 +1,16 @@
 """Direct coverage of the fused-kernel fallback guard.
 
-``SliceRunner._can_fuse`` decides between the fused kernel (reaches
-past public methods into way lists and predictor tables) and
-``_run_generic`` (the readable specification, driving the public
-interfaces).  Nothing else in the suite exercised the generic path via
-a *subclassed* collaborator, so a stale fallback would only surface in
-user code.  These tests force the generic path through behaviour-
-preserving subclasses and assert it stays bit-identical to the pinned
-:class:`~repro.cpu.reference.ReferenceCoreModel` — under the
-``native`` engine (which must decline such a slice and release the
-core's state to the Python objects first) as well as ``fused``.
+``SliceRunner._can_fuse`` decides between the fused C kernel (engine
+``native``; it reaches past public methods into way lists and
+predictor tables) and ``_run_generic`` (the readable specification,
+driving the public interfaces).  Nothing else in the suite exercised
+the generic path via a *subclassed* collaborator, so a stale fallback
+would only surface in user code.  These tests force the generic path
+through behaviour-preserving subclasses and assert it stays
+bit-identical to the pinned
+:class:`~repro.cpu.reference.ReferenceCoreModel` — the ``native``
+engine must decline such a slice and release the core's state to the
+Python objects first.
 """
 
 import random
@@ -33,11 +34,10 @@ from repro.util.rng import RngFactory
 
 N_WINDOWS = 4
 SEED = 1311
-ENGINES = ("native", "fused")
 
 
-def _windows(core, engine, windows):
-    set_default_engine(engine)
+def _windows(core, windows):
+    set_default_engine("native")
     try:
         return [core.execute_window(w) for w in windows]
     finally:
@@ -49,7 +49,7 @@ class PassthroughBranchUnit(BranchUnit):
 
 
 class PassthroughCache(SetAssociativeCache):
-    """Same — any cache subclass invalidates the fused way-list access."""
+    """Same — any cache subclass invalidates the C way-list access."""
 
 
 def _build(model_cls, seed=SEED):
@@ -135,33 +135,31 @@ class TestGenericPathBitIdentical:
 
     def test_branch_subclass_windows(self, reference_snaps):
         ref_snaps, ref_hw = reference_snaps
-        for engine in ENGINES:
-            core = _build(SubclassedBranchCore)
-            snaps = _windows(core, engine, range(N_WINDOWS))
-            for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
-                assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
-            assert _hardware_state(core) == ref_hw
+        core = _build(SubclassedBranchCore)
+        snaps = _windows(core, range(N_WINDOWS))
+        for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
+            assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
+        assert _hardware_state(core) == ref_hw
 
     def test_cache_subclass_windows(self, reference_snaps):
         ref_snaps, ref_hw = reference_snaps
-        for engine in ENGINES:
-            core = _build(CoreModel)
-            for attr in ("l1i", "l1d"):
-                geo = getattr(core.machine, attr)
-                stock = getattr(core.memory, attr)
-                setattr(
-                    core.memory,
-                    attr,
-                    PassthroughCache(
-                        n_sets=stock.n_sets,
-                        associativity=geo.associativity,
-                        policy=geo.policy,
-                    ),
-                )
-            snaps = _windows(core, engine, range(N_WINDOWS))
-            for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
-                assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
-            assert _hardware_state(core) == ref_hw
+        core = _build(CoreModel)
+        for attr in ("l1i", "l1d"):
+            geo = getattr(core.machine, attr)
+            stock = getattr(core.memory, attr)
+            setattr(
+                core.memory,
+                attr,
+                PassthroughCache(
+                    n_sets=stock.n_sets,
+                    associativity=geo.associativity,
+                    policy=geo.policy,
+                ),
+            )
+        snaps = _windows(core, range(N_WINDOWS))
+        for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
+            assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
+        assert _hardware_state(core) == ref_hw
 
     def test_native_hands_its_state_to_the_generic_path(self, reference_snaps):
         """Native windows, then a patch that forces the generic path:
@@ -170,10 +168,10 @@ class TestGenericPathBitIdentical:
         ref_snaps, ref_hw = reference_snaps
         core = _build(CoreModel)
         half = N_WINDOWS // 2
-        snaps = _windows(core, "native", range(half))
+        snaps = _windows(core, range(half))
         original = core.memory.load
         core.memory.load = lambda addr, region: original(addr, region)
-        snaps += _windows(core, "native", range(half, N_WINDOWS))
+        snaps += _windows(core, range(half, N_WINDOWS))
         for w, (snap, ref) in enumerate(zip(snaps, ref_snaps)):
             assert dict(snap.counts) == dict(ref.counts), f"window {w} diverged"
         assert _hardware_state(core) == ref_hw

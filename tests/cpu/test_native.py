@@ -2,9 +2,9 @@
 
 The per-window bit-identity of the compiled kernel is pinned by
 ``test_reference_equivalence.py`` and ``test_fused_fallback.py``; this
-file covers what is specific to it: it falls back to ``fused`` (and
-says why) when it cannot load, it declines slices it cannot run
-exactly, its C-held state survives switching engines mid-run, and a
+file covers what is specific to it: it falls back to the generic path
+(and says why) when it cannot load, it declines slices it cannot run
+exactly, its C-held state survives switching paths mid-run, and a
 warm build cache keeps ``cffi`` out of ``import repro``.  The slow
 property test drives random profiles through many windows.
 """
@@ -65,13 +65,18 @@ def _core(model_cls=CoreModel, seed=2007, space=None, slices=None, cycles=30000)
     )
 
 
+#: Engine that sends a stock core's windows down each path: a stock
+#: core under engine ``reference`` never runs C.
+PATH_ENGINE = {"native": "native", "generic": "reference"}
+
+
 def _counts(core, windows, engine=None):
     set_default_engine(engine)
     return [dict(core.execute_window(w).counts) for w in windows]
 
 
 class TestFallback:
-    def test_loader_failure_runs_fused_and_says_why(self, monkeypatch):
+    def test_loader_failure_runs_generic_and_says_why(self, monkeypatch):
         def broken():
             raise OSError("no compiler on this host")
 
@@ -80,11 +85,11 @@ class TestFallback:
         monkeypatch.setattr(native, "FFI", None)
         monkeypatch.setattr(native, "REASON", native._NOT_LOADED)
         engine, reason = effective_engine()
-        assert engine == "fused"
+        assert engine == "generic"
         assert "no compiler on this host" in reason
         assert native.REASON == reason
         stamp = bench_payload({}, "probe")
-        assert (stamp["engine"], stamp["engine_reason"]) == ("fused", reason)
+        assert (stamp["engine"], stamp["engine_reason"]) == ("generic", reason)
 
         core = _core()
         assert _counts(core, range(3)) == _counts(_core(ReferenceCoreModel), range(3))
@@ -108,7 +113,7 @@ class TestFallback:
 
     @needs_native
     def test_draw_bound_over_32_bits_declines(self):
-        """A 4 GB region needs a 33-bit draw: the slice runs on fused."""
+        """A 4 GB region needs a 33-bit draw: the slice runs generic."""
         machine = MachineConfig()
         space = AddressSpace.build(machine, JvmConfig(), db_buffer_mb=4096)
         profile = _profile(space, load_mix=((R.DB_BUFFER, 1.0),))
@@ -125,10 +130,10 @@ class TestFallback:
 
 @needs_native
 def test_engines_can_alternate_window_by_window():
-    """native, fused, native...: each switch hands the C-held state over."""
+    """native, generic, native...: each switch hands the C-held state over."""
     core = _core()
-    plan = ["native", "native", "fused", "native", "fused", "fused", "native"]
-    got = [_counts(core, [w], engine)[0] for w, engine in enumerate(plan)]
+    plan = ["native", "native", "generic", "native", "generic", "generic", "native"]
+    got = [_counts(core, [w], PATH_ENGINE[path])[0] for w, path in enumerate(plan)]
     assert got == _counts(_core(ReferenceCoreModel), range(len(plan)))
 
 
@@ -223,19 +228,19 @@ def _profile_knobs(draw):
 )
 def test_random_profiles_bit_identical(knobs, large_pages, seed):
     """Random profiles, many consecutive windows, Python draws between
-    them: native and fused agree on every counter and, after release,
-    on every piece of hardware state."""
+    them: native and the generic path agree on every counter and,
+    after release, on every piece of hardware state."""
     machine = MachineConfig()
     space = AddressSpace.build(
         machine, JvmConfig(heap_large_pages=large_pages, code_large_pages=large_pages)
     )
     slices = tuple((_profile(space, **k), 1.0 / len(knobs)) for k in knobs)
-    cores = {e: _core(seed=seed, space=space, slices=slices, cycles=8000)
-             for e in ("native", "fused")}
+    cores = {p: _core(seed=seed, space=space, slices=slices, cycles=8000)
+             for p in PATH_ENGINE}
     declined = native.DECLINED.copy()
     for w in range(12):
-        counts = {e: _counts(core, [w], e) for e, core in cores.items()}
-        assert counts["native"] == counts["fused"], f"window {w}"
+        counts = {p: _counts(core, [w], PATH_ENGINE[p]) for p, core in cores.items()}
+        assert counts["native"] == counts["generic"], f"window {w}"
         for core in cores.values():
             core._rng_stream.getrandbits(w + 1)
             core._rng_stream.random()
@@ -250,4 +255,4 @@ def test_random_profiles_bit_identical(knobs, large_pages, seed):
                 dict(m.prefetcher._streams), dict(m._store_gather),
                 m.rng.getstate(), core._rng_stream.getstate())
 
-    assert state(cores["native"]) == state(cores["fused"])
+    assert state(cores["native"]) == state(cores["generic"])

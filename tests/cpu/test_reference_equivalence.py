@@ -1,14 +1,15 @@
 """Determinism regression: the kernel rewrite changed no golden output.
 
-Runs the optimized :class:`~repro.cpu.core_model.CoreModel` — once on
-the ``native`` engine (the kernel in C) and once on ``fused`` — and the
-pinned pre-optimization :class:`~repro.cpu.reference.ReferenceCoreModel`
-side by side on a fixed seed and asserts every per-window counter
-snapshot and every piece of persistent hardware state (cache and TLB
-hit/miss totals, and between the two stock cores the way lists and
-predictor tables themselves) is identical — the optimized kernels must
-draw the same RNG sequence and add the same floats in the same order
-as the original structures.
+Runs the stock :class:`~repro.cpu.core_model.CoreModel` — once on the
+``native`` engine (the kernel in C) and once on the generic Python
+path — and the pinned pre-optimization
+:class:`~repro.cpu.reference.ReferenceCoreModel` side by side on a
+fixed seed and asserts every per-window counter snapshot and every
+piece of persistent hardware state (cache and TLB hit/miss totals, and
+between the two stock cores the way lists and predictor tables
+themselves) is identical — the C kernel must draw the same RNG
+sequence and add the same floats in the same order as the original
+structures.
 """
 
 import random
@@ -30,8 +31,10 @@ from repro.cpu.regions import AddressSpace
 from repro.util.rng import RngFactory
 
 N_WINDOWS = 8
-#: The engines that run the stock core (the reference core has its own).
-STOCK_ENGINES = ("native", "fused")
+#: The paths a stock core's windows take, by the engine that selects
+#: them: C, and the generic Python path (a stock core under engine
+#: ``reference`` never runs C).  The reference core has its own.
+STOCK_PATHS = {"native": "native", "generic": "reference"}
 
 
 def _build(model_cls, seed):
@@ -58,11 +61,14 @@ def _run_on(engine, core, windows):
 
 @pytest.fixture(scope="module", params=[42, 2007])
 def models(request):
-    """``(stock cores by engine, reference core, snapshots by engine)``."""
+    """``(stock cores by path, reference core, snapshots by path)``."""
     seed = request.param
-    cores = {engine: _build(CoreModel, seed) for engine in STOCK_ENGINES}
+    cores = {path: _build(CoreModel, seed) for path in STOCK_PATHS}
     reference = _build(ReferenceCoreModel, seed)
-    snaps = {e: _run_on(e, core, range(N_WINDOWS)) for e, core in cores.items()}
+    snaps = {
+        path: _run_on(STOCK_PATHS[path], core, range(N_WINDOWS))
+        for path, core in cores.items()
+    }
     snaps["reference"] = _run_on(None, reference, range(N_WINDOWS))
     return cores, reference, snaps
 
@@ -70,10 +76,10 @@ def models(request):
 class TestSnapshotsIdentical:
     def test_every_window_bit_identical(self, models):
         _, _, snaps = models
-        for engine in STOCK_ENGINES:
-            for w, (opt, ref) in enumerate(zip(snaps[engine], snaps["reference"])):
+        for path in STOCK_PATHS:
+            for w, (opt, ref) in enumerate(zip(snaps[path], snaps["reference"])):
                 assert dict(opt.counts) == dict(ref.counts), (
-                    f"{engine} window {w} diverged"
+                    f"{path} window {w} diverged"
                 )
 
     def test_nonzero_activity(self, models):
@@ -129,7 +135,7 @@ class TestHardwareStateIdentical:
         """What the C struct held between calls comes back unchanged:
         after :func:`~repro.cpu.native.release` the native core's way
         lists, predictor tables, prefetcher and backing RNG equal the
-        fused core's."""
+        generic core's."""
         cores = models[0]
 
         def state(core):
@@ -146,7 +152,7 @@ class TestHardwareStateIdentical:
             )
 
         native.release(cores["native"].memory)
-        assert state(cores["native"]) == state(cores["fused"])
+        assert state(cores["native"]) == state(cores["generic"])
 
 
 class TestInstrumentedWindowIdentical:

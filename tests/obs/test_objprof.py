@@ -7,7 +7,7 @@ Three layers:
   the contract, so the assertions are ``==`` on byte counts;
 * address→site attribution at the kernel level: a slice run under a
   profiler charges *every* data-side miss event the counter bank sees
-  to some site, on both the fused kernel and the generic fallback;
+  to some site, on both the compiled kernel and the generic fallback;
 * the report: deterministic DJXPerf-style ranking, metrics export and
   the data-driven what-if scenarios built from a profile.
 """
@@ -25,6 +25,7 @@ from repro.config import (
     MachineConfig,
     PipelineLatencies,
 )
+from repro.cpu import native
 from repro.cpu import regions as R
 from repro.cpu.branch import BranchUnit
 from repro.cpu.hierarchy import MemorySystem
@@ -264,7 +265,7 @@ class TestExtents:
 
 
 # ---------------------------------------------------------------------------
-# Kernel-level exact reconciliation (fused and generic paths)
+# Kernel-level exact reconciliation (native and generic paths)
 # ---------------------------------------------------------------------------
 
 
@@ -300,7 +301,10 @@ def _run_profiled_slice(space, cycles=60000, seed=11, force_generic=False):
 def test_every_bank_miss_event_is_attributed(space, force_generic):
     """Per-site sums equal the counter bank's totals *exactly* — every
     DERAT/DTLB/L1D miss and every sourced load is charged to a site."""
+    declined = native.DECLINED.copy()
     snap, prof = _run_profiled_slice(space, force_generic=force_generic)
+    if native.LIB is not None and not force_generic:
+        assert native.DECLINED == declined  # every slice ran in C
     profile = prof.build_profile()
     assert profile.total(objprof.SLOT_LD_MISS) == snap[Event.PM_LD_MISS_L1]
     assert profile.total(objprof.SLOT_ST_MISS) == snap[Event.PM_ST_MISS_L1]
@@ -315,13 +319,13 @@ def test_every_bank_miss_event_is_attributed(space, force_generic):
     assert snap[Event.PM_DERAT_MISS] > 0
 
 
-def test_fused_and_generic_attribute_identically(space):
-    """The two kernels charge the same sites the same amounts."""
-    snap_f, prof_f = _run_profiled_slice(space, force_generic=False)
+def test_native_and_generic_attribute_identically(space):
+    """The two paths charge the same sites the same amounts."""
+    snap_n, prof_n = _run_profiled_slice(space, force_generic=False)
     snap_g, prof_g = _run_profiled_slice(space, force_generic=True)
-    assert {e.name: v for e, v in snap_f.counts.items()} == \
+    assert {e.name: v for e, v in snap_n.counts.items()} == \
         {e.name: v for e, v in snap_g.counts.items()}
-    assert prof_f.counts == prof_g.counts
+    assert prof_n.counts == prof_g.counts
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.perf.benchsuite import MIN_REPETITIONS, SUITE_KIND, run_suite, suite_spread
+from repro.perf.history import append_record
 from repro.perf.sampler import FrameKey, SampleLog, StackSample
+from repro.util.stats import percentile, relative_spread
+
+#: Best-of-5 rounds per arm in :func:`measure_in_alternation`.
+ROUNDS = 3
 
 MAIN = FrameKey(func="main", file="/repo/src/app.py", line=10)
 SIMULATE = FrameKey(func="simulate", file="/repo/src/sim.py", line=40)
@@ -60,3 +66,42 @@ def _clean_git_describe(monkeypatch):
     explicitly.
     """
     monkeypatch.setattr("repro.benchio.git_describe", lambda: "testrev")
+
+
+def measure_in_alternation(kernels, arms, rounds=ROUNDS):
+    """One quick-suite result per arm, the arms measured in alternation.
+
+    ``arms`` are context managers (``nullcontext()`` for an honest
+    rerun).  Each of ``rounds`` rounds runs every arm once and merges
+    its repetitions into that arm's result, so the drift of a shared
+    host hits every arm alike instead of landing on one record.
+    """
+    merged = [None] * len(arms)
+    for _ in range(rounds):
+        for i, arm in enumerate(arms):
+            with arm:
+                result = run_suite(quick=True, kernels=list(kernels))
+            if merged[i] is None:
+                merged[i] = result
+            else:
+                for kernel, entry in result.items():
+                    merged[i][kernel]["reps_s"] += entry["reps_s"]
+    for result in merged:
+        for entry in result.values():
+            reps = entry["reps_s"]
+            entry["best_s"] = min(reps)
+            entry["median_s"] = percentile(reps, 50.0)
+            entry["spread"] = round(relative_spread(reps), 4)
+    return merged
+
+
+def append_results(history, *results, rounds=ROUNDS):
+    """Append each merged suite result as one trajectory record."""
+    for result in results:
+        append_record(
+            history,
+            result,
+            SUITE_KIND,
+            repetitions=rounds * MIN_REPETITIONS,
+            spread=suite_spread(result),
+        )

@@ -25,9 +25,9 @@ from repro.perf.benchsuite import (
     suite_spread,
 )
 from repro.perf.gate import REGRESSED, evaluate_gate
-from repro.perf.history import append_record, read_history
-from repro.util.stats import percentile, relative_spread
+from repro.perf.history import read_history
 from repro.workload.appserver import AppServer
+from tests.perf.conftest import append_results, measure_in_alternation
 
 
 class TestBestOf:
@@ -119,46 +119,16 @@ class TestGateAcceptance:
     hits both arms alike instead of landing on one record.
     """
 
-    ROUNDS = 3
-
-    def _measure(self, kernel, arms):
-        """One suite result per arm; ``arms`` are context managers."""
-        merged = [None] * len(arms)
-        for _ in range(self.ROUNDS):
-            for i, arm in enumerate(arms):
-                with arm:
-                    entry = run_suite(quick=True, kernels=[kernel])[kernel]
-                if merged[i] is None:
-                    merged[i] = entry
-                else:
-                    merged[i]["reps_s"] += entry["reps_s"]
-        for entry in merged:
-            reps = entry["reps_s"]
-            entry["best_s"] = min(reps)
-            entry["median_s"] = percentile(reps, 50.0)
-            entry["spread"] = round(relative_spread(reps), 4)
-        return [{kernel: entry} for entry in merged]
-
-    def _append(self, history, *results):
-        for result in results:
-            append_record(
-                history,
-                result,
-                SUITE_KIND,
-                repetitions=self.ROUNDS * MIN_REPETITIONS,
-                spread=suite_spread(result),
-            )
-
     def _assert_gate_catches_slowdown(self, history, kernel, owner, method, min_ratio):
         # Honest rerun of identical work: the gate must pass.
-        self._append(history, *self._measure(kernel, [nullcontext(), nullcontext()]))
+        append_results(history, *measure_in_alternation([kernel], [nullcontext()] * 2))
         report = evaluate_gate(read_history(history, kind=SUITE_KIND))
         assert report.passed, "\n".join(report.render_lines())
 
         # Inject a 2x slowdown into the hot kernel: after the real
         # call executes, burn the same wall time again.
         slowed = patch.object(owner, method, _slowed_twofold(getattr(owner, method)))
-        self._append(history, *self._measure(kernel, [nullcontext(), slowed]))
+        append_results(history, *measure_in_alternation([kernel], [nullcontext(), slowed]))
         report = evaluate_gate(read_history(history, kind=SUITE_KIND))
         assert not report.passed, "\n".join(report.render_lines())
         verdict = {v.kernel: v for v in report.verdicts}[kernel]
@@ -168,7 +138,7 @@ class TestGateAcceptance:
 
         # And science was untouched: a rerun after the restore, judged
         # against the poisoned record, shows IMPROVED — not REGRESSED.
-        self._append(history, *self._measure(kernel, [nullcontext()]))
+        append_results(history, *measure_in_alternation([kernel], [nullcontext()]))
         report = evaluate_gate(read_history(history, kind=SUITE_KIND))
         assert report.passed, "\n".join(report.render_lines())
 

@@ -8,10 +8,12 @@ exit codes the gate contract promises.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
 from repro.cli import main
+from tests.perf.conftest import append_results, measure_in_alternation
 
 
 #: The whole quick-tier suite, as `repro bench --quick` runs it in CI.
@@ -82,9 +84,11 @@ class TestPerfGate:
         assert "SKIPPED" in capsys.readouterr().out
 
     def test_honest_rerun_passes_with_json_report(self, tmp_path, capsys):
+        # Two records of the same work, measured in alternation so a
+        # host-speed shift cannot land on one of them alone.
         history = tmp_path / "hist.jsonl"
-        bench(history)
-        bench(history)
+        kernels = ["counter_kernel", "window_execution"]
+        append_results(history, *measure_in_alternation(kernels, [nullcontext()] * 2))
         gate_json = tmp_path / "gate.json"
         code = main(
             [
