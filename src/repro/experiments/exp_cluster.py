@@ -88,21 +88,23 @@ class ClusterResult:
         return lines
 
 
+#: The deployments compared with the single server.
+LAYOUTS = {
+    # Same total core count as the single server (1 + 2x1 + 1 = 4).
+    "equal-cores": ClusterLayout(
+        web_cores=1, app_blades=2, app_cores_per_blade=1, db_cores=1
+    ),
+    # Scale out the app tier (the bottleneck).
+    "scaled-out": ClusterLayout(
+        web_cores=1, app_blades=3, app_cores_per_blade=2, db_cores=1
+    ),
+}
+
+
 def run(config: Optional[ExperimentConfig] = None) -> ClusterResult:
     config = config if config is not None else bench_config()
     single = evaluate_run(simulate(config))
-
-    layouts = {
-        # Same total core count as the single server (1 + 2x1 + 1 = 4).
-        "equal-cores": ClusterLayout(
-            web_cores=1, app_blades=2, app_cores_per_blade=1, db_cores=1
-        ),
-        # Scale out the app tier (the bottleneck).
-        "scaled-out": ClusterLayout(
-            web_cores=1, app_blades=3, app_cores_per_blade=2, db_cores=1
-        ),
-    }
     clusters = {
-        name: ClusterSUT(config, layout).run() for name, layout in layouts.items()
+        name: ClusterSUT(config, layout).run() for name, layout in LAYOUTS.items()
     }
     return ClusterResult(config=config, single=single, clusters=clusters)
