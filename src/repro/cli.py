@@ -50,7 +50,7 @@ import sys
 from typing import List, Optional
 
 from repro.config import ExperimentConfig
-from repro.cpu.engine import ENGINES, set_default_engine
+from repro.cpu.engine import ENGINE_ENV, ENGINES, default_engine, set_default_engine
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -1144,6 +1144,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Written to $REPRO_ENGINE (not just process state) so the
         # supervised pool and per-group correlation workers inherit it.
         set_default_engine(args.engine)
+    else:
+        try:
+            default_engine()
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: error: ${ENGINE_ENV}: {exc}\n")
     return args.handler(args)
 
 

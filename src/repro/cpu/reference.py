@@ -376,11 +376,16 @@ class ReferenceSliceRunner(SliceRunner):
     ``SliceRunner._run_generic`` *is* the original implementation kept
     verbatim as the fallback path; disabling fusion makes every window
     run through it, calling the reference structures' public methods
-    access for access exactly as the seed code did.
+    access for access exactly as the seed code did.  A pinned reference
+    core is a deliberate choice, not a slice the native kernel declined,
+    so it is not counted in :data:`repro.cpu.native.DECLINED`.
     """
 
     def _can_fuse(self) -> bool:
         return False
+
+    def _run_until_impl(self, cycle_limit: float) -> None:
+        self._run_generic(cycle_limit)
 
 
 class ReferenceCoreModel(CoreModel):

@@ -177,8 +177,8 @@ def run_suite(
     accesses = 50_000 if quick else 200_000
     increments = 100_000 if quick else 300_000
     # IR 60 on a 120-thread pool keeps the 4-core SUT saturated without
-    # rejecting arrivals, so the scheduler (AppServer.serve), the
-    # loop's hottest part, is about 60% of it.
+    # rejecting arrivals, so the scheduler (AppServer.serve, or its
+    # port in the compiled tick loop) is the loop's hottest part.
     tick_loop_s = 60.0 if quick else 300.0
     tick_loop_ir, tick_loop_pool = 60, 120
     catalog = {

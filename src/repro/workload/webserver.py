@@ -36,11 +36,13 @@ class WebServer:
         else:
             self.rmi_requests += 1
 
+    def mean_overhead_ms(self, spec: TransactionSpec) -> float:
+        """Mean front-end latency of this operation's protocol."""
+        if spec.protocol == "web":
+            return self.HTTP_OVERHEAD_MS
+        return self.RMI_OVERHEAD_MS
+
     def response_overhead_s(self, spec: TransactionSpec) -> float:
         """Front-end latency added to this operation's response time."""
-        if spec.protocol == "web":
-            mean = self.HTTP_OVERHEAD_MS
-        else:
-            mean = self.RMI_OVERHEAD_MS
         # rng.uniform(0.5, 1.5) is 0.5 + 1.0 * random(), bit for bit.
-        return (0.5 + self.rng.random()) * mean / 1000.0
+        return (0.5 + self.rng.random()) * self.mean_overhead_ms(spec) / 1000.0

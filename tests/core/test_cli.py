@@ -113,6 +113,15 @@ class TestExecution:
         assert main(["figure", "99"]) == 2
         assert "no figure 99" in capsys.readouterr().out
 
+    def test_unknown_engine_in_environment_is_a_cli_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "fused")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["characterize", "--scale", "quick"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "$REPRO_ENGINE" in err and "native, reference" in err
+
     def test_compare_command_runs(self, capsys):
         assert main(["compare", "--scale", "quick"]) == 0
         assert "Simple Java Benchmarks" in capsys.readouterr().out

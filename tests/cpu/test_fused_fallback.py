@@ -20,6 +20,7 @@ import pytest
 from repro.config import JvmConfig, MachineConfig, SamplingConfig
 from repro.cpu.branch import BranchUnit
 from repro.cpu.cache import SetAssociativeCache
+from repro.cpu import native
 from repro.cpu.core_model import CoreModel, StaticSchedule
 from repro.cpu.engine import set_default_engine
 from repro.cpu.phases import (
@@ -128,6 +129,25 @@ class TestSubclassForcesGenericPath:
 
     def test_stock_core_fuses(self):
         assert _first_runner(_build(CoreModel))._can_fuse()
+
+
+class TestDeclineCounter:
+    """``native.DECLINED`` counts slices that left C, and only those."""
+
+    def test_reference_window_is_not_a_decline(self):
+        before = native.DECLINED.copy()
+        _windows(_build(ReferenceCoreModel), range(1))
+        assert native.DECLINED == before
+
+    @pytest.mark.skipif(native.LIB is None, reason="native kernel unavailable")
+    def test_patched_stock_core_is_a_decline(self):
+        core = _build(CoreModel)
+        original = core.memory.load
+        core.memory.load = lambda addr, region: original(addr, region)
+        before = native.DECLINED.copy()
+        _windows(core, range(1))
+        declined = native.DECLINED - before
+        assert list(declined) == ["a collaborator is subclassed or patched"]
 
 
 class TestGenericPathBitIdentical:
