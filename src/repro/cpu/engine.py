@@ -11,7 +11,9 @@ Two engines execute sampling windows, bit-identically:
   :class:`~repro.cpu.stream.SliceRunner` instead, and
   :func:`effective_engine` / :data:`repro.cpu.native.DECLINED` say why;
 * ``reference`` — :class:`~repro.cpu.reference.ReferenceCoreModel`,
-  the pinned specification; always the generic path.
+  the pinned specification; always the generic path.  It also keeps
+  the workload tick loop in Python (:mod:`repro.workload.native_tick`
+  runs it in C under ``native``).
 
 The selection travels through the ``REPRO_ENGINE`` environment
 variable rather than through :class:`~repro.config.ExperimentConfig`:
